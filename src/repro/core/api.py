@@ -242,8 +242,8 @@ def construct_tree_cached(
     ``"nj"`` bypasses the cache: additive NJ trees do not round-trip
     through the ultrametric Newick parser.
     """
-    from repro.service.cache import cache_key
-    from repro.tree.newick import parse_newick, to_newick
+    from repro.service.cache import cache_key, result_payload
+    from repro.tree.newick import parse_newick
 
     if method == "nj":
         return construct_tree(
@@ -288,10 +288,5 @@ def construct_tree_cached(
         matrix, method, cluster=cluster, recorder=recorder,
         metrics=metrics, verify=verify, **options
     )
-    cache.put(key, {
-        "method": result.method,
-        "n_species": matrix.n,
-        "cost": float(result.cost),
-        "newick": to_newick(result.tree),
-    })
+    cache.put(key, result_payload(result, matrix.n))
     return result

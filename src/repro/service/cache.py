@@ -33,7 +33,13 @@ from typing import Dict, Mapping, Optional, Union
 
 from repro.matrix.distance_matrix import DistanceMatrix
 
-__all__ = ["CACHE_KEY_VERSION", "canonical_params", "cache_key", "ResultCache"]
+__all__ = [
+    "CACHE_KEY_VERSION",
+    "canonical_params",
+    "cache_key",
+    "result_payload",
+    "ResultCache",
+]
 
 #: In-progress atomic-write files look like ``<key>.tmp.<pid>.<tid>``.
 _TMP_NAME = re.compile(r"\.tmp\.(\d+)\.\d+$")
@@ -47,7 +53,9 @@ _TMP_GRACE_SECONDS = 300.0
 #: stale on-disk store from an older scheme can never serve wrong data.
 #: v2: payload Newick precision went 6 -> 12 decimals (the ``verify``
 #: cost oracle checks the reported cost against the reconstruction).
-CACHE_KEY_VERSION = 2
+#: v3: ``construct_tree_cached`` still wrote 6-decimal v2 entries; both
+#: writers now go through :func:`result_payload`.
+CACHE_KEY_VERSION = 3
 
 
 def canonical_params(method: str, options: Optional[Mapping] = None) -> str:
@@ -76,6 +84,29 @@ def cache_key(
     h.update(b"\x00")
     h.update(canonical_params(method, options).encode("utf-8"))
     return h.hexdigest()
+
+
+def result_payload(result, n_species: int) -> dict:
+    """The JSON payload of one construction result, as cached and served.
+
+    The single shape every cache writer stores.  Ultrametric trees are
+    written at 12 fixed decimals: ``verify`` checks the reported cost
+    against the tree reparsed from this payload, so serialization must
+    not round it outside the cost oracle's 1e-9 tolerance.  ``nj`` trees
+    are additive and use their own Newick writer.
+    """
+    if result.method == "nj":
+        newick = result.tree.newick()
+    else:
+        from repro.tree.newick import to_newick
+
+        newick = to_newick(result.tree, precision=12)
+    return {
+        "method": result.method,
+        "n_species": n_species,
+        "cost": float(result.cost),
+        "newick": newick,
+    }
 
 
 class ResultCache:

@@ -77,7 +77,7 @@ from repro.parallel.executor import (
     WorkerTimeout,
     emit_slot_progress,
 )
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import ResultCache, cache_key, result_payload
 from repro.service.errors import QueueFull, SchedulerClosed
 from repro.service.jobs import Job, JobState
 
@@ -139,7 +139,6 @@ def solve_payload(
     """
     from repro.core.api import construct_tree
     from repro.parallel.config import ClusterConfig
-    from repro.tree.newick import to_newick
 
     options = dict(options or {})
     workers = options.pop("workers", None)
@@ -147,19 +146,7 @@ def solve_payload(
     result = construct_tree(
         matrix, method, cluster=cluster, recorder=recorder, **options
     )
-    if method == "nj":
-        newick = result.tree.newick()
-    else:
-        # 12 fixed decimals: the payload is what ``verify: true`` checks
-        # the reported cost against, so serialization must not round the
-        # reconstruction outside the cost oracle's 1e-9 tolerance.
-        newick = to_newick(result.tree, precision=12)
-    return {
-        "method": result.method,
-        "n_species": matrix.n,
-        "cost": float(result.cost),
-        "newick": newick,
-    }
+    return result_payload(result, matrix.n)
 
 
 def _process_job_task(runner: Callable, task: tuple) -> dict:

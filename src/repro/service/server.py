@@ -130,6 +130,17 @@ def _matrix_from_request(body: dict) -> DistanceMatrix:
         raise BadRequest(f"malformed matrix payload: {exc}") from exc
 
 
+def _json_object(raw: bytes) -> dict:
+    """Decode a request body that must be one JSON object."""
+    try:
+        body = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadRequest(f"body is not valid JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise BadRequest("body must be a JSON object")
+    return body
+
+
 def _parse_multipart(raw: bytes, content_type: str) -> dict:
     """Minimal ``multipart/form-data`` parser for ``POST /ingest``.
 
@@ -170,6 +181,10 @@ class _Handler(BaseHTTPRequestHandler):
     """One HTTP exchange; the server instance hangs off ``self.server``."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: else Nagle holds each body behind its headers until
+    # a keep-alive client's ~40 ms delayed ACK arrives.
+    disable_nagle_algorithm = True
+    _body_unread = False  # set by do_POST until _read_body consumes it
     server: "_HTTPServer"
 
     # ------------------------------------------------------------------
@@ -183,23 +198,31 @@ class _Handler(BaseHTTPRequestHandler):
         self, status: int, payload: dict, trace_id: Optional[str] = None
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, "application/json", trace_id)
 
-    def _send_text(
-        self, status: int, text: str, content_type: str = "text/plain"
+    def _send(
+        self, status: int, body: bytes, content_type: str,
+        trace_id: Optional[str] = None,
     ) -> None:
-        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if trace_id:
+            self.send_header("X-Trace-Id", trace_id)
+        if self._body_unread:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_job(self, job) -> None:
+        """A job record: its state's status once done, ``202`` before.
+
+        A deduplicated submission shares the first caller's job -- and
+        therefore the first caller's trace id; echo the job's.
+        """
+        record = job.to_json()
+        status = _STATE_STATUS.get(job.state, 200) if job.done else 202
+        self._send_json(status, record, trace_id=job.trace_id)
 
     def _send_error_json(self, exc: ServiceError) -> None:
         payload = {"error": exc.code, "detail": str(exc)}
@@ -208,22 +231,37 @@ class _Handler(BaseHTTPRequestHandler):
             payload.update(extra)
         self._send_json(exc.http_status, payload)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+    def _read_body(self, cap: int) -> bytes:
+        """Read the body, enforcing ``Content-Length`` and ``cap``.
+
+        A missing, zero or non-numeric length is a 400.  Over ``cap`` is
+        a 413, drained first up to ``4 * cap`` so a still-sending client
+        can read it.  While the body is unread the reply carries
+        ``Connection: close``, so leftover bytes never parse as the next
+        request on a persistent connection.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not re.fullmatch(r"[0-9]+", declared):
+            raise BadRequest(
+                f"Content-Length {declared[:32]!r} is not a byte count"
+            )
+        length = int(declared)
+        if length == 0:
             raise BadRequest("request body required")
-        if length > MAX_BODY_BYTES:
-            raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        try:
-            body = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"body is not valid JSON: {exc.msg}") from exc
-        if not isinstance(body, dict):
-            raise BadRequest("body must be a JSON object")
-        return body
+        if length > cap:
+            if length <= 4 * cap:
+                left = length
+                while left and (chunk := self.rfile.read(min(left, 65536))):
+                    left -= len(chunk)
+                self._body_unread = left > 0
+            raise PayloadTooLarge(cap, length)
+        raw = self.rfile.read(length)
+        self._body_unread = False
+        return raw
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._body_unread = True
         try:
             path = self.path.rstrip("/")
             if path == "/solve":
@@ -258,12 +296,10 @@ class _Handler(BaseHTTPRequestHandler):
                 stats["uptime_seconds"] = time.time() - service.started_at
                 self._send_json(200, stats)
             elif path == "/metrics":
-                self._send_text(
+                self._send(
                     200,
-                    service.scheduler.metrics.render_prometheus(),
-                    content_type=(
-                        "text/plain; version=0.0.4; charset=utf-8"
-                    ),
+                    service.scheduler.metrics.render_prometheus().encode(),
+                    "text/plain; version=0.0.4; charset=utf-8",
                 )
             elif path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
@@ -298,7 +334,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _solve(self) -> None:
         service = self.server.service
         trace_id = resolve_trace_id(self.headers.get("X-Trace-Id"))
-        body = self._read_body()
+        body = _json_object(self._read_body(MAX_BODY_BYTES))
         matrix = _matrix_from_request(body)
         method = body.get("method", service.default_method)
         options = body.get("options") or {}
@@ -318,16 +354,7 @@ class _Handler(BaseHTTPRequestHandler):
         if wait:
             budget = float(body.get("wait_seconds", service.wait_seconds))
             job.wait(budget)
-        record = job.to_json()
-        # A deduplicated submission shares the first caller's job -- and
-        # therefore the first caller's trace id; echo the job's.
-        if job.done:
-            self._send_json(
-                _STATE_STATUS.get(job.state, 200), record,
-                trace_id=job.trace_id,
-            )
-        else:
-            self._send_json(202, record, trace_id=job.trace_id)
+        self._send_job(job)
 
     # ------------------------------------------------------------------
     def _ingest(self) -> None:
@@ -344,33 +371,12 @@ class _Handler(BaseHTTPRequestHandler):
 
         service = self.server.service
         trace_id = resolve_trace_id(self.headers.get("X-Trace-Id"))
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise BadRequest("request body required")
-        if length > MAX_INGEST_BYTES:
-            # Drain a bounded amount of the in-flight body first so the
-            # still-sending client can read the 413 instead of dying on
-            # a broken pipe; truly abusive lengths just get the socket
-            # closed on them.
-            if length <= 4 * MAX_INGEST_BYTES:
-                remaining = length
-                while remaining > 0:
-                    chunk = self.rfile.read(min(remaining, 65536))
-                    if not chunk:
-                        break
-                    remaining -= len(chunk)
-            raise PayloadTooLarge(MAX_INGEST_BYTES, length)
-        raw = self.rfile.read(length)
+        raw = self._read_body(MAX_INGEST_BYTES)
         content_type = self.headers.get("Content-Type") or ""
         if content_type.startswith("multipart/form-data"):
             fields = _parse_multipart(raw, content_type)
         else:
-            try:
-                fields = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise BadRequest(f"body is not valid JSON: {exc}") from exc
-            if not isinstance(fields, dict):
-                raise BadRequest("body must be a JSON object")
+            fields = _json_object(raw)
 
         fasta = fields.get("fasta")
         if not isinstance(fasta, str) or not fasta.strip():
@@ -479,14 +485,7 @@ class _Handler(BaseHTTPRequestHandler):
                     f"'wait_seconds' must be a number: {exc}"
                 ) from exc
             job.wait(budget)
-        record = job.to_json()
-        if job.done:
-            self._send_json(
-                _STATE_STATUS.get(job.state, 200), record,
-                trace_id=job.trace_id,
-            )
-        else:
-            self._send_json(202, record, trace_id=job.trace_id)
+        self._send_job(job)
 
 
 class _HTTPServer(ThreadingHTTPServer):

@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.service.cache import CACHE_KEY_VERSION
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -236,7 +237,10 @@ class TestFuzzArchive:
         assert row["master_seed"] == 9
         assert row["matrix_digest"] == matrix.digest()
         assert row["engine_version"] == repro.__version__
-        assert json.loads(row["fingerprint"])["cache_key_version"] == 2
+        assert (
+            json.loads(row["fingerprint"])["cache_key_version"]
+            == CACHE_KEY_VERSION
+        )
 
 
 class TestSigtermResume:

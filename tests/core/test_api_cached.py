@@ -1,8 +1,10 @@
 """The cache-aware construction entry point (``construct_tree_cached``)."""
 
 from repro.core.api import construct_tree, construct_tree_cached
+from repro.matrix.generators import random_metric_matrix
 from repro.obs import Recorder
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, cache_key
+from repro.service.scheduler import solve_payload
 from repro.tree.newick import to_newick
 
 
@@ -21,7 +23,7 @@ class TestConstructTreeCached:
         assert rec.counter_total("cache.miss") == 1
         assert rec.counter_total("cache.hit") == 1
         # The hit's details is the cached payload, not an engine result.
-        assert second.details["newick"] == to_newick(first.tree)
+        assert second.details["newick"] == to_newick(first.tree, precision=12)
 
     def test_matches_uncached_result(self, square5):
         plain = construct_tree(square5, "upgmm")
@@ -77,3 +79,28 @@ class TestConstructTreeCached:
         # The miss also timed the underlying solve.
         hist = registry.histogram("solve.seconds", labelnames=("method",))
         assert hist.count(method="compact") == 1
+
+
+class TestCachedPrecision:
+    """Cache entries keep 12 decimals, so a hit passes the oracles."""
+
+    def test_hit_is_oracle_clean(self):
+        # At 6 decimals the reparsed hit broke d_T >= M and drifted the
+        # cost by 2.8e-6 (174.94282 reparsed vs 174.9428172 reported).
+        matrix = random_metric_matrix(12, seed=3, integer=False)
+        cache = ResultCache()
+        rec = Recorder()
+        for _ in range(2):
+            result = construct_tree_cached(
+                matrix, "bnb", cache=cache, recorder=rec, verify=True
+            )
+            assert result.verification == []
+        assert rec.counter_total("cache.hit") == 1
+
+    def test_one_payload_shape_for_both_writers(self):
+        matrix = random_metric_matrix(12, seed=3, integer=False)
+        cache = ResultCache()
+        construct_tree_cached(matrix, "bnb", cache=cache)
+        assert cache.get(cache_key(matrix, "bnb", {})) == solve_payload(
+            matrix, "bnb"
+        )

@@ -1,6 +1,10 @@
 """In-process HTTP API tests: ServiceServer + ServiceClient."""
 
+import http.client
+import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.service.errors import (
     ServiceError,
 )
 from repro.service.scheduler import Scheduler
+from repro.service import server as server_mod
 from repro.service.server import ServiceServer
 
 
@@ -199,3 +204,127 @@ class TestQueuedDeadlineOverHTTP:
                 gate.set()
         finally:
             gate.set()
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One request on ``conn``: ``(response, body bytes, seconds)``."""
+    start = time.perf_counter()
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    data = response.read()
+    return response, data, time.perf_counter() - start
+
+
+def _solve_body(matrix, method="upgmm"):
+    return json.dumps({
+        "matrix": {
+            "values": [list(map(float, row)) for row in matrix.values],
+            "labels": matrix.labels,
+        },
+        "method": method,
+    })
+
+
+@pytest.fixture
+def conn(server):
+    host, port = server.address
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
+    yield connection
+    connection.close()
+
+
+def _assert_next_request_answered(conn):
+    response, data, _ = _exchange(conn, "GET", "/healthz")
+    assert response.status == 200
+    assert json.loads(data)["status"] == "ok"
+
+
+class TestKeepAliveLatency:
+    def test_persistent_connection_answers_without_delayed_ack_stall(
+        self, conn, matrix
+    ):
+        # Headers and body leave as two writes; with Nagle on, each
+        # reply after the first waited ~40 ms for the client's delayed
+        # ACK, so every median below sat at 40+ ms.
+        body = _solve_body(matrix)
+        response, _, _ = _exchange(conn, "POST", "/solve", body)
+        assert response.status == 200
+        sock = conn.sock
+        seconds = {"hit": [], "4xx": [], "healthz": [], "metrics": []}
+        for _ in range(20):
+            response, data, took = _exchange(conn, "POST", "/solve", body)
+            assert response.status == 200
+            assert json.loads(data)["cache"] == "hit"
+            seconds["hit"].append(took)
+        for _ in range(5):
+            response, _, took = _exchange(conn, "POST", "/solve", "{}")
+            assert response.status == 400
+            seconds["4xx"].append(took)
+            response, _, took = _exchange(conn, "GET", "/healthz")
+            assert response.status == 200
+            seconds["healthz"].append(took)
+            response, _, took = _exchange(conn, "GET", "/metrics")
+            assert response.status == 200
+            seconds["metrics"].append(took)
+        assert conn.sock is sock, "every request must reuse one connection"
+        medians_ms = {
+            kind: 1000 * statistics.median(times)
+            for kind, times in seconds.items()
+        }
+        overall_ms = 1000 * statistics.median(
+            t for times in seconds.values() for t in times
+        )
+        assert overall_ms < 10.0, medians_ms
+        assert max(medians_ms.values()) < 10.0, medians_ms
+
+
+class TestKeepAliveFraming:
+    """A reply to a POST whose body was not read must close the
+    connection; leftover body bytes are never parsed as a request."""
+
+    def test_unknown_post_path_closes(self, conn, matrix):
+        response, data, _ = _exchange(
+            conn, "POST", "/nope", _solve_body(matrix)
+        )
+        assert response.status == 404
+        assert json.loads(data)["error"] == "job_not_found"
+        assert response.getheader("Connection") == "close"
+        _assert_next_request_answered(conn)
+
+    def test_oversized_solve_is_drained_and_keeps_connection(
+        self, conn, matrix, monkeypatch
+    ):
+        body = _solve_body(matrix)
+        monkeypatch.setattr(server_mod, "MAX_BODY_BYTES", len(body) // 2)
+        _exchange(conn, "GET", "/healthz")
+        sock = conn.sock
+        response, data, _ = _exchange(conn, "POST", "/solve", body)
+        assert response.status == 413
+        assert json.loads(data)["error"] == "payload_too_large"
+        assert response.getheader("Connection") is None
+        _assert_next_request_answered(conn)
+        assert conn.sock is sock
+
+    def test_abusive_ingest_length_closes(self, conn, monkeypatch):
+        monkeypatch.setattr(server_mod, "MAX_INGEST_BYTES", 64)
+        body = json.dumps({"fasta": ">a\n" + "ACGT" * 128 + "\n"})
+        assert len(body) > 4 * 64
+        response, data, _ = _exchange(conn, "POST", "/ingest", body)
+        assert response.status == 413
+        assert json.loads(data)["error"] == "payload_too_large"
+        assert response.getheader("Connection") == "close"
+        _assert_next_request_answered(conn)
+
+    @pytest.mark.parametrize("path", ["/solve", "/ingest"])
+    def test_non_numeric_content_length_is_typed_400(
+        self, conn, matrix, path
+    ):
+        response, data, _ = _exchange(
+            conn, "POST", path, _solve_body(matrix),
+            headers={"Content-Length": "abc"},
+        )
+        assert response.status == 400
+        assert json.loads(data)["error"] == "bad_request"
+        assert "Content-Length" in json.loads(data)["detail"]
+        assert response.getheader("Connection") == "close"
+        _assert_next_request_answered(conn)
