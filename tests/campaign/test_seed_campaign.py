@@ -29,13 +29,18 @@ def seed_export():
 
 
 @pytest.fixture(scope="module")
-def diff(tmp_path_factory, seed_export):
+def campaign_db(tmp_path_factory, seed_export):
     db_path = tmp_path_factory.mktemp("seed-campaign") / "c.sqlite"
     with CampaignDB(db_path) as db:
         db.import_export(seed_export, name="seed")
         run_campaign(db, load_suite("pins"), name="fresh", workers=2,
                      verify=True)
-        yield diff_campaigns(db, "seed", "fresh")
+        yield db
+
+
+@pytest.fixture(scope="module")
+def diff(campaign_db):
+    return diff_campaigns(campaign_db, "seed", "fresh")
 
 
 class TestSeedFile:
@@ -76,6 +81,21 @@ class TestFreshRunAgainstSeed:
 
     def test_no_exact_cost_drift(self, diff):
         assert not diff.exact_violations, diff.render()
+
+    def test_node_counts_unchanged(self, campaign_db, seed_export):
+        # The diff compares costs only; node counts pin the search
+        # order itself, so an engine change that reaches the same optima
+        # by a different route is caught here.
+        fresh = campaign_db.get_campaign("fresh")
+        got = {
+            row["case_id"]: row["nodes_expanded"]
+            for row in campaign_db.case_rows(int(fresh["id"]))
+        }
+        want = {
+            case["case_id"]: case["nodes_expanded"]
+            for case in seed_export["cases"]
+        }
+        assert got == want
 
     def test_no_regressions(self, diff):
         assert not diff.verification_regressions, diff.render()
