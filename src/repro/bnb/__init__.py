@@ -17,6 +17,7 @@ from repro.bnb.bounds import (
     minlink_tails,
     search_context,
 )
+from repro.bnb.search import SearchCore
 from repro.bnb.sequential import (
     BranchAndBoundSolver,
     BBUResult,
@@ -40,6 +41,7 @@ __all__ = [
     "minfront_tails",
     "minlink_tails",
     "search_context",
+    "SearchCore",
     "BranchAndBoundSolver",
     "BBUResult",
     "SearchStats",

@@ -50,10 +50,10 @@ supports ``n <= 62`` species (far beyond exact-search reach anyway);
 :attr:`BranchKernel.supported` is ``False`` above that and callers fall
 back to the scalar loop.
 
-:func:`expand_positions` is the shared driver used by the sequential
-solver, the cluster simulator and the multiprocess engine: one place
-implements "children of ``node`` whose lower bound clears ``threshold``"
-for both the batched and the scalar path, so the engines cannot drift.
+:func:`expand_positions` implements "children of ``node`` whose lower
+bound clears ``threshold``" for both the batched and the scalar path.
+Its one caller is :meth:`repro.bnb.search.SearchCore.expand`, the
+expansion step every exact engine runs, so the engines cannot drift.
 """
 
 from __future__ import annotations

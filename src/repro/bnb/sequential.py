@@ -11,7 +11,9 @@ Tang (1999):
    ``LB >= UB``, update UB whenever a cheaper complete tree appears.
 
 The optional 3-3 relationship constraint (Step 4 of the parallel paper)
-filters children as they are generated.
+filters children as they are generated.  Setup and the expansion step
+live in :class:`repro.bnb.search.SearchCore`, shared with the parallel
+engines; this module keeps the DFS frontier and the incumbent.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.bnb.bounds import LOWER_BOUNDS, search_context
-from repro.bnb.kernel import BranchKernel, expand_positions
-from repro.bnb.relationship import insertion_is_consistent
+from repro.bnb.bounds import LOWER_BOUNDS
+from repro.bnb.search import SearchCore, SearchStats
 from repro.bnb.topology import PartialTopology
-from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.matrix.maxmin import apply_maxmin
 from repro.obs.progress import ProgressTracker, current_progress
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.tree.ultrametric import UltrametricTree
@@ -42,41 +41,6 @@ _EPS = 1e-9
 #: clock hundreds of times a second, far finer than any sane
 #: ``interval_seconds``).
 _PROGRESS_TICK_STRIDE = 64
-
-
-@dataclass
-class SearchStats:
-    """Counters describing one branch-and-bound run."""
-
-    nodes_created: int = 0
-    nodes_expanded: int = 0
-    nodes_pruned: int = 0
-    nodes_filtered_33: int = 0
-    ub_updates: int = 0
-    initial_upper_bound: float = 0.0
-    best_cost: float = float("inf")
-    elapsed_seconds: float = 0.0
-    max_open_size: int = 0
-    node_limit_hit: bool = False
-
-    def merge(self, other: "SearchStats") -> None:
-        """Accumulate another run's counters (used by the pipeline).
-
-        ``best_cost`` folds as a minimum (the best tree any merged run
-        found) and ``initial_upper_bound`` as a sum over subproblems --
-        dropping them (the old behaviour) made pipeline-aggregated stats
-        report a ``0.0`` seed bound and an ``inf`` best cost.
-        """
-        self.nodes_created += other.nodes_created
-        self.nodes_expanded += other.nodes_expanded
-        self.nodes_pruned += other.nodes_pruned
-        self.nodes_filtered_33 += other.nodes_filtered_33
-        self.ub_updates += other.ub_updates
-        self.initial_upper_bound += other.initial_upper_bound
-        self.best_cost = min(self.best_cost, other.best_cost)
-        self.elapsed_seconds += other.elapsed_seconds
-        self.max_open_size = max(self.max_open_size, other.max_open_size)
-        self.node_limit_hit = self.node_limit_hit or other.node_limit_hit
 
 
 @dataclass
@@ -215,63 +179,48 @@ class BranchAndBoundSolver:
     def _solve(self, matrix: DistanceMatrix) -> BBUResult:
         rec = self.recorder
         start = rec.clock()
-        stats = SearchStats()
         # Resolved once per solve: the explicit tracker, or the ambient
         # one bound by ``progress_context`` (the scheduler / CLI path).
         tracker = self.progress
         if tracker is None:
             tracker = current_progress()
         n = matrix.n
-        if n == 1:
-            tree = UltrametricTree.leaf(matrix.labels[0])
-            stats.best_cost = 0.0
+        if n <= 2:
+            # A max-min order of two species is the identity.
+            stats = SearchStats(best_cost=0.0)
+            if n == 1:
+                tree = UltrametricTree.leaf(matrix.labels[0])
+            else:
+                tree = UltrametricTree.join(
+                    UltrametricTree.leaf(matrix.labels[0]),
+                    UltrametricTree.leaf(matrix.labels[1]),
+                    float(matrix.values[0][1]) / 2.0,
+                )
+                stats.best_cost = tree.cost()
+                stats.elapsed_seconds = rec.clock() - start
             if tracker is not None:
-                tracker.final(0.0, stats)
-            return BBUResult(tree, 0.0, stats)
+                tracker.final(stats.best_cost, stats)
+            return BBUResult(tree, stats.best_cost, stats)
 
-        if self.use_maxmin:
-            ordered, _ = apply_maxmin(matrix)
-        else:
-            ordered = matrix
-        labels = ordered.labels
-        values = [list(map(float, row)) for row in ordered.values]
-
-        if n == 2:
-            tree = UltrametricTree.join(
-                UltrametricTree.leaf(labels[0]),
-                UltrametricTree.leaf(labels[1]),
-                values[0][1] / 2.0,
-            )
-            cost = tree.cost()
-            stats.best_cost = cost
-            stats.elapsed_seconds = rec.clock() - start
-            if tracker is not None:
-                tracker.final(cost, stats)
-            return BBUResult(tree, cost, stats)
-
-        # Cached per matrix identity: solving the same (relabelled) matrix
-        # again -- pipeline subproblems, fallbacks, repeated benchmark
-        # solves -- reuses the half-matrix and tail bounds.
-        half, tails = search_context(ordered, self.lower_bound)
-
-        seed = upgmm(ordered)
-        upper_bound = seed.cost()
-        stats.initial_upper_bound = upper_bound
+        core = SearchCore(
+            matrix,
+            lower_bound=self.lower_bound,
+            use_maxmin=self.use_maxmin,
+            relationship_33=self.relationship_33,
+            enforce_all_33=self.enforce_all_33,
+            use_kernel=self.use_kernel,
+        )
+        stats = core.stats
+        labels = core.labels
+        seed = core.seed
+        upper_bound = stats.initial_upper_bound
         if self.on_incumbent is not None:
             self.on_incumbent(upper_bound, seed)
         best: Optional[PartialTopology] = None
         best_complete: List[PartialTopology] = []
-
-        root = PartialTopology.initial(half)
-        root.lower_bound = root.cost + tails[2]
-        open_nodes: List[PartialTopology] = [root]
-        stats.nodes_created = 1
+        open_nodes: List[PartialTopology] = [core.root]
         keep_margin = _EPS if self.collect_all else -_EPS
 
-        check_33 = self.relationship_33 or self.enforce_all_33
-        kernel = BranchKernel(half) if self.use_kernel else None
-        if kernel is not None and not kernel.supported:
-            kernel = None  # oversized matrix: scalar fallback
         if tracker is not None:
             tracker.start()
         progress_countdown = 0
@@ -291,50 +240,32 @@ class BranchAndBoundSolver:
                     progress_countdown = _PROGRESS_TICK_STRIDE
                     progress_last_ub = upper_bound
             node = open_nodes.pop()
-            if node.lower_bound > upper_bound + keep_margin:
+            threshold = upper_bound + keep_margin
+            if node.lower_bound > threshold:
                 stats.nodes_pruned += 1
                 continue
-            stats.nodes_expanded += 1
-            s = node.next_species
-            tail = tails[s + 1]
-            stats.nodes_created += node.num_positions()
-            survivors, pruned = expand_positions(
-                node, tail, upper_bound + keep_margin, kernel
-            )
-            stats.nodes_pruned += pruned
-            if check_33:
-                children: List[PartialTopology] = []
-                for child in survivors:
-                    if not insertion_is_consistent(
-                        child, values, s, check_all_pairs=self.enforce_all_33
-                    ):
-                        stats.nodes_filtered_33 += 1
-                        continue
-                    children.append(child)
-            else:
-                children = survivors
-            if node.num_leaves + 1 == n:
-                for child in children:
-                    cost = child.cost
-                    if cost < upper_bound - _EPS:
-                        upper_bound = cost
+            children, complete = core.expand(node, threshold)
+            for child in complete:
+                cost = child.cost
+                if cost < upper_bound - _EPS:
+                    upper_bound = cost
+                    best = child
+                    stats.ub_updates += 1
+                    if self.on_incumbent is not None:
+                        self.on_incumbent(cost, child.to_tree(labels))
+                    if self.collect_all:
+                        best_complete = [
+                            t for t in best_complete
+                            if t.cost <= upper_bound + _EPS
+                        ]
+                if self.collect_all and cost <= upper_bound + _EPS:
+                    best_complete.append(child)
+                    if best is None or cost < best.cost - _EPS:
                         best = child
-                        stats.ub_updates += 1
-                        if self.on_incumbent is not None:
-                            self.on_incumbent(cost, child.to_tree(labels))
-                        if self.collect_all:
-                            best_complete = [
-                                t for t in best_complete
-                                if t.cost <= upper_bound + _EPS
-                            ]
-                    if self.collect_all and cost <= upper_bound + _EPS:
-                        best_complete.append(child)
-                        if best is None or cost < best.cost - _EPS:
-                            best = child
-                    elif best is None and cost <= upper_bound + _EPS:
-                        # UPGMM tree matched by search; remember topology.
-                        best = child
-            else:
+                elif best is None and cost <= upper_bound + _EPS:
+                    # UPGMM tree matched by search; remember topology.
+                    best = child
+            if children:
                 # Depth-first, cheapest lower bound expanded first.
                 children.sort(key=lambda c: -c.lower_bound)
                 open_nodes.extend(children)

@@ -35,20 +35,15 @@ Production hardening (vs. the original prototype):
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import traceback
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-from repro.bnb.bounds import search_context
-from repro.bnb.kernel import BranchKernel, expand_positions
-from repro.bnb.relationship import insertion_is_consistent
+from repro.bnb.search import SearchCore, SearchStats
 from repro.bnb.topology import PartialTopology
-from repro.bnb.sequential import BranchAndBoundSolver, SearchStats
-from repro.heuristics.upgma import upgmm
+from repro.bnb.sequential import BranchAndBoundSolver
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.matrix.maxmin import apply_maxmin
 from repro.obs.progress import current_progress
 from repro.parallel.executor import gather_one_per_worker
 from repro.obs.recorder import (
@@ -103,84 +98,68 @@ class MultiprocessResult:
     #: Resolved multiprocessing start method ("fork"/"spawn"), or
     #: "sequential" when the input was solved in-process.
     start_method: str = "fork"
+    #: The master's pre-branch counters merged with every worker's, in
+    #: the same schema as the sequential solver's.
+    stats: SearchStats = field(default_factory=SearchStats)
 
 
 def _worker_main(
     worker_id: int,
     payloads: List[tuple],
-    half: List[List[float]],
-    tails: List[float],
-    values: List[List[float]],
-    check_33: bool,
-    enforce_all_33: bool,
+    core: SearchCore,
     shared_ub,
     result_queue,
     poll_interval: int,
     trace_id: Optional[str] = None,
-    use_kernel: bool = True,
 ) -> None:
     """DFS-complete a share of the frontier (runs in a child process).
 
     Every argument is picklable so the function works under both the
     ``fork`` and ``spawn`` start methods.  Results (or a formatted
     traceback on failure) are reported through ``result_queue`` as
-    ``(kind, worker_id, cost_or_traceback, payload, counters)`` tuples.
+    ``(kind, worker_id, cost_or_traceback, payload, counters)`` tuples;
+    ``counters["stats"]`` is this worker's :class:`SearchStats`.
     ``trace_id`` is the originating request's correlation id; the worker
     echoes it back inside ``counters`` so the master stamps each
     ``mp.worker`` span with an id that genuinely crossed the process
     boundary (not one re-read from master-side state).
     """
-    expanded = 0
-    pruned = 0
+    # The core arrives carrying the master's pre-branch counters; this
+    # worker reports only its own.
+    core.stats = stats = SearchStats()
+    counters = {"stats": stats, "trace_id": trace_id}
     try:
-        topologies = [PartialTopology.from_payload(p, half) for p in payloads]
-        kernel = BranchKernel(half) if use_kernel else None
-        if kernel is not None and not kernel.supported:
-            kernel = None  # oversized matrix: scalar fallback
+        stack = sorted(
+            (PartialTopology.from_payload(p, core.half) for p in payloads),
+            key=lambda t: -t.lower_bound,
+        )
         local_ub = shared_ub.value
         best: Optional[PartialTopology] = None
-        n = len(values)
-        stack = sorted(topologies, key=lambda t: -t.lower_bound)
         while stack:
             node = stack.pop()
-            if expanded % poll_interval == 0:
+            if stats.nodes_expanded % poll_interval == 0:
                 published = shared_ub.value
                 if published < local_ub:
                     local_ub = published
-            if node.lower_bound > local_ub - _EPS:
-                pruned += 1
+            threshold = local_ub - _EPS
+            if node.lower_bound > threshold:
+                stats.nodes_pruned += 1
                 continue
-            expanded += 1
-            s = node.next_species
-            tail = tails[s + 1]
-            survivors, cut = expand_positions(
-                node, tail, local_ub - _EPS, kernel
-            )
-            pruned += cut
-            if check_33:
-                children = [
-                    child for child in survivors
-                    if insertion_is_consistent(
-                        child, values, s, check_all_pairs=enforce_all_33
-                    )
-                ]
-            else:
-                children = survivors
-            if node.num_leaves + 1 == n:
-                for child in children:
-                    if child.cost < local_ub - _EPS:
-                        local_ub = child.cost
-                        best = child
-                        with shared_ub.get_lock():
-                            if local_ub < shared_ub.value:
-                                shared_ub.value = local_ub
-            else:
+            children, complete = core.expand(node, threshold)
+            for child in complete:
+                if child.cost < local_ub - _EPS:
+                    local_ub = child.cost
+                    best = child
+                    stats.ub_updates += 1
+                    with shared_ub.get_lock():
+                        if local_ub < shared_ub.value:
+                            shared_ub.value = local_ub
+            if children:
                 children.sort(key=lambda c: -c.lower_bound)
                 stack.extend(children)
+                if len(stack) > stats.max_open_size:
+                    stats.max_open_size = len(stack)
 
-        counters = {
-            "expanded": expanded, "pruned": pruned, "trace_id": trace_id,
-        }
         if best is None:
             result_queue.put(("result", worker_id, None, None, counters))
         else:
@@ -189,13 +168,7 @@ def _worker_main(
             )
     except Exception:
         result_queue.put(
-            (
-                "error",
-                worker_id,
-                traceback.format_exc(),
-                None,
-                {"expanded": expanded, "pruned": pruned, "trace_id": trace_id},
-            )
+            ("error", worker_id, traceback.format_exc(), None, counters)
         )
 
 
@@ -311,102 +284,43 @@ def _multiprocess_impl(
             n_workers=1,
             initial_upper_bound=seq.stats.initial_upper_bound,
             start_method="sequential",
+            stats=seq.stats,
         )
 
-    ordered, _ = apply_maxmin(matrix)
-    labels = ordered.labels
-    values = [list(map(float, row)) for row in ordered.values]
-    half, tails = search_context(ordered, lower_bound)
-    check_33 = relationship_33 or enforce_all_33
-    kernel = BranchKernel(half) if use_kernel else None
-    if kernel is not None and not kernel.supported:
-        kernel = None  # oversized matrix: scalar fallback
-
-    seed = upgmm(ordered)
-    upper_bound = seed.cost()
-    best_tree: UltrametricTree = seed
-    best_cost = upper_bound
-
-    # Master pre-branching (same as the simulator's master phase): a heap
-    # keyed by lower bound replaces the prototype's full re-sort per
-    # iteration; ties pop the most recently created child first.
-    root = PartialTopology.initial(half)
-    root.lower_bound = root.cost + tails[2]
-    queue: List[Tuple[float, int, PartialTopology]] = [
-        (root.lower_bound, 0, root)
-    ]
-    heap_seq = 0
-    target = prebranch_factor * n_workers
-    expanded = 0
-    pruned = 0
-    n = matrix.n
-    while queue and len(queue) < target:
-        _, _, node = heapq.heappop(queue)
-        if node.lower_bound > upper_bound - _EPS:
-            pruned += 1
-            continue
-        expanded += 1
-        s = node.next_species
-        tail = tails[s + 1]
-        survivors, cut = expand_positions(
-            node, tail, upper_bound - _EPS, kernel
-        )
-        pruned += cut
-        for child in survivors:
-            if check_33 and not insertion_is_consistent(
-                child, values, s, check_all_pairs=enforce_all_33
-            ):
-                continue
-            if child.is_complete:
-                if child.cost < upper_bound - _EPS:
-                    upper_bound = child.cost
-                    best_cost = child.cost
-                    best_tree = child.to_tree(labels)
-            else:
-                heap_seq -= 1
-                heapq.heappush(queue, (child.lower_bound, heap_seq, child))
+    start = rec.clock()
+    core = SearchCore(
+        matrix,
+        lower_bound=lower_bound,
+        relationship_33=relationship_33,
+        enforce_all_33=enforce_all_33,
+        use_kernel=use_kernel,
+    )
+    stats = core.stats
+    pre = core.prebranch(prebranch_factor * n_workers)
+    best_cost = pre.upper_bound
+    best_tree = core.seed if pre.best is None else pre.best.to_tree(core.labels)
+    frontier = pre.frontier
 
     # The parallel master reports progress at its natural heartbeat
     # points: after pre-branching (the frontier's bounds are the global
     # lower bound) and on each worker-result arrival (the shared upper
-    # bound carries workers' live incumbent improvements).
+    # bound carries workers' live incumbent improvements).  A frontier
+    # the pre-branch emptied starts no worker.
     tracker = current_progress()
-    master_stats = SearchStats()
-
-    frontier = [entry[2] for entry in queue]
-    if not frontier:
-        if tracker is not None:
-            master_stats.nodes_expanded = expanded
-            master_stats.nodes_created = expanded + pruned
-            tracker.final(best_cost, master_stats)
-        return MultiprocessResult(
-            tree=best_tree,
-            cost=best_cost,
-            nodes_expanded=expanded,
-            nodes_pruned=pruned,
-            n_workers=n_workers,
-            initial_upper_bound=seed.cost(),
-            start_method=method,
-        )
-
-    if tracker is not None:
-        master_stats.nodes_expanded = expanded
-        master_stats.nodes_created = expanded + pruned + len(frontier)
-        tracker.tick(upper_bound, master_stats, frontier)
-
-    frontier.sort(key=lambda t: t.lower_bound)
-    shares: List[List[tuple]] = [[] for _ in range(n_workers)]
-    for index, node in enumerate(frontier):
-        shares[index % n_workers].append(node.to_payload())
-
+    if tracker is not None and frontier:
+        tracker.tick(best_cost, stats, frontier)
     ctx = multiprocessing.get_context(method)
-    shared_ub = ctx.Value("d", upper_bound)
+    shared_ub = ctx.Value("d", best_cost)
     result_queue = ctx.Queue()
     processes: Dict[int, "multiprocessing.process.BaseProcess"] = {}
     starts: Dict[int, float] = {}
     arrivals: Dict[int, float] = {}
     try:
-        for worker_id, share in enumerate(shares):
+        for worker_id in range(n_workers):
+            # Cyclic dispatch of the lower-bound-sorted frontier.
+            share = [
+                node.to_payload() for node in frontier[worker_id::n_workers]
+            ]
             if not share:
                 continue
             proc = ctx.Process(
@@ -414,16 +328,11 @@ def _multiprocess_impl(
                 args=(
                     worker_id,
                     share,
-                    half,
-                    tails,
-                    values,
-                    check_33,
-                    enforce_all_33,
+                    core,
                     shared_ub,
                     result_queue,
                     poll_interval,
                     trace_id,
-                    use_kernel,
                 ),
                 daemon=True,
             )
@@ -435,14 +344,10 @@ def _multiprocess_impl(
             processes, result_queue, arrivals=arrivals, clock=rec.clock
         ):
             _, worker_id, cost, payload, counters = message
-            expanded += counters["expanded"]
-            pruned += counters["pruned"]
+            worker_stats = counters["stats"]
+            stats.merge(worker_stats)
             if tracker is not None:
-                master_stats.nodes_expanded = expanded
-                master_stats.nodes_created = expanded + pruned
-                tracker.tick(
-                    min(best_cost, shared_ub.value), master_stats, ()
-                )
+                tracker.tick(min(best_cost, shared_ub.value), stats, ())
             if rec.enabled:
                 # Stamp the trace id that round-tripped through the
                 # worker process, not the master-side ambient one.
@@ -456,14 +361,16 @@ def _multiprocess_impl(
                     **span_attrs,
                 )
                 rec.counter(
-                    "mp.nodes_expanded", counters["expanded"], worker=worker_id
+                    "mp.nodes_expanded",
+                    worker_stats.nodes_expanded,
+                    worker=worker_id,
                 )
                 rec.counter(
-                    "mp.nodes_pruned", counters["pruned"], worker=worker_id
+                    "mp.nodes_pruned", worker_stats.nodes_pruned, worker=worker_id
                 )
             if cost is not None and cost < best_cost - _EPS:
-                tree = PartialTopology.from_payload(payload, half).to_tree(
-                    labels
+                tree = PartialTopology.from_payload(payload, core.half).to_tree(
+                    core.labels
                 )
                 realised = tree.cost()
                 if abs(realised - cost) > 1e-9:
@@ -481,16 +388,17 @@ def _multiprocess_impl(
             proc.join(timeout=5.0)
         result_queue.close()
 
+    stats.best_cost = best_cost
+    stats.elapsed_seconds = rec.clock() - start
     if tracker is not None:
-        master_stats.nodes_expanded = expanded
-        master_stats.nodes_created = expanded + pruned
-        tracker.final(best_cost, master_stats)
+        tracker.final(best_cost, stats)
     return MultiprocessResult(
         tree=best_tree,
         cost=best_cost,
-        nodes_expanded=expanded,
-        nodes_pruned=pruned,
+        nodes_expanded=stats.nodes_expanded,
+        nodes_pruned=stats.nodes_pruned,
         n_workers=n_workers,
-        initial_upper_bound=seed.cost(),
+        initial_upper_bound=stats.initial_upper_bound,
         start_method=method,
+        stats=stats,
     )

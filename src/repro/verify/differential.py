@@ -12,7 +12,12 @@ proven bracket), which makes the repository its own oracle:
   exact inside every compact set, so it can never beat the optimum, and
   the paper proves it never loses to the UPGMM upper bound;
 * every feasible method's cost must be at least the exact optimum;
-* every method's tree must pass every single-tree oracle.
+* every method's tree must pass every single-tree oracle;
+* on matrices of at most :data:`REFERENCE_MAX_SPECIES` species, every
+  exact engine's cost must match the exhaustive-search optimum
+  (:func:`repro.bnb.enumeration.brute_force_mut`), which uses no lower
+  bound and no search loop of the engines' -- so a bound that prunes
+  the optimum in every engine at once is still caught.
 
 :func:`run_differential` runs a configurable set of methods over one
 matrix and folds everything into a :class:`DifferentialReport` whose
@@ -26,11 +31,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.bnb.enumeration import brute_force_mut
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.verify.oracles import Oracle, Violation, run_oracles
 
 __all__ = [
     "EXACT_METHODS",
+    "REFERENCE_MAX_SPECIES",
     "BRACKET_METHODS",
     "FEASIBLE_HEURISTICS",
     "DEFAULT_DIFFERENTIAL_METHODS",
@@ -64,6 +71,10 @@ DEFAULT_DIFFERENTIAL_METHODS: Tuple[str, ...] = (
 
 #: Relative agreement tolerance between exact engines ("to 1e-9").
 EXACT_RTOL = 1e-9
+#: Largest matrix whose exact costs are also checked against brute
+#: force.  Exhaustive search takes about 0.01 s at 6 species, 0.1 s at 7
+#: and 1 s at 8; the fuzz campaign draws up to 9 species per case.
+REFERENCE_MAX_SPECIES = 7
 #: Bracket checks allow a hair more slack for float accumulation.
 BRACKET_RTOL = 1e-7
 
@@ -193,13 +204,20 @@ def run_differential(
                 )
             )
 
-    cross = _cross_checks(outcomes)
+    certified = None
+    if matrix.n <= REFERENCE_MAX_SPECIES and any(
+        m in EXACT_METHODS for m in methods
+    ):
+        certified = brute_force_mut(matrix)[1]
+    cross = _cross_checks(outcomes, certified)
     return DifferentialReport(
         n_species=matrix.n, outcomes=outcomes, cross_violations=cross
     )
 
 
-def _cross_checks(outcomes: Dict[str, MethodOutcome]) -> List[Violation]:
+def _cross_checks(
+    outcomes: Dict[str, MethodOutcome], certified: Optional[float] = None
+) -> List[Violation]:
     violations: List[Violation] = []
     exact = {
         m: outcomes[m].cost
@@ -220,6 +238,21 @@ def _cross_checks(outcomes: Dict[str, MethodOutcome]) -> List[Violation]:
                             "cost": cost,
                             "reference_method": reference_method,
                             "reference_cost": reference,
+                        },
+                    )
+                )
+    if certified is not None:
+        for method, cost in exact.items():
+            if _relative_gap(cost, certified) > EXACT_RTOL:
+                violations.append(
+                    Violation(
+                        "differential.reference",
+                        f"{method} cost {cost:.12g} is not the brute-force "
+                        f"optimum {certified:.12g}",
+                        {
+                            "method": method,
+                            "cost": cost,
+                            "reference_cost": certified,
                         },
                     )
                 )

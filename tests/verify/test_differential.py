@@ -8,6 +8,8 @@ to 1e-9 relative and both trees pass every single-tree oracle.
 
 import pytest
 
+import repro.bnb.search as search
+import repro.verify.differential as differential
 from repro.core.api import construct_tree
 from repro.matrix.generators import (
     clustered_matrix,
@@ -124,6 +126,45 @@ class TestMutationDetection:
         # Both the cross-check and the per-tree cost oracle fire.
         assert "differential.exact_agreement" in oracles
         assert "cost" in oracles
+
+    def test_inflated_tail_bound_caught_only_by_reference(self, monkeypatch):
+        # A lower bound that is too high prunes the optimum in every
+        # exact engine at once (all of them take their bounds from the
+        # one search core), so the engines still agree with each other;
+        # only the brute-force reference sees the wrong optimum.
+        real = search.search_context
+
+        def inflated(matrix, lower_bound="minfront"):
+            half, tails = real(matrix, lower_bound)
+            return half, [2.0 * tail for tail in tails]
+
+        monkeypatch.setattr(search, "search_context", inflated)
+        # UPGMM (143.5) is not optimal here (137.5), and the inflated
+        # bound prunes every improvement on it.
+        matrix = random_metric_matrix(7, seed=10)
+        report = run_differential(matrix, EXACT_METHODS)
+        costs = {report.outcomes[m].cost for m in EXACT_METHODS}
+        assert costs == {143.5}
+        assert {v.oracle for v in report.violations} == {
+            "differential.reference"
+        }
+        assert {v.details["method"] for v in report.violations} == set(
+            EXACT_METHODS
+        )
+        assert all(
+            v.details["reference_cost"] == pytest.approx(137.5)
+            for v in report.violations
+        )
+
+    def test_reference_skipped_above_limit(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("brute force ran above the limit")
+
+        monkeypatch.setattr(differential, "brute_force_mut", refuse)
+        n = differential.REFERENCE_MAX_SPECIES + 1
+        assert run_differential(
+            random_metric_matrix(n, seed=1), ("bnb",)
+        ).ok
 
     def test_crashing_engine_isolated(self):
         matrix = random_metric_matrix(5, seed=5)
