@@ -105,7 +105,11 @@ class BranchAndBoundSolver:
         ``None`` the ambient :func:`repro.obs.progress.current_progress`
         tracker is used if one is bound; with neither, the hot loop pays
         a single ``is not None`` check per iteration and allocates
-        nothing.
+        nothing.  Every solve ends with ``tracker.final``; under a
+        multi-solve job the tracker is a
+        :class:`~repro.obs.progress.SubsolveProgress` view, whose
+        ``final`` adds the solve's counters to the job's totals and
+        leaves closing the stream to the job.
     """
 
     def __init__(

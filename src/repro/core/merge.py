@@ -31,9 +31,11 @@ def merge_group_tree(
     placeholder's parent allows -- which cannot happen for genuine
     compact sets and therefore signals a caller bug.
     """
-    merged = group_tree
-    for label, subtree in subtrees.items():
-        if not merged.has_leaf(label):
+    if not subtrees:
+        return group_tree
+    for label in subtrees:
+        if not group_tree.has_leaf(label):
             raise KeyError(f"group tree has no placeholder leaf {label!r}")
-        merged = merged.replace_leaf(label, subtree)
-    return merged
+    # Graft every placeholder in one pass: the merge then copies the
+    # tree once, not once per placeholder.
+    return group_tree.graft(subtrees)

@@ -29,6 +29,7 @@ from repro.core.reduction import REDUCTIONS, reduce_matrix
 from repro.graph.hierarchy import CompactSetHierarchy, HierarchyNode
 from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
+from repro.obs.progress import current_progress, progress_context
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.parallel.config import ClusterConfig
 from repro.parallel.simulator import ParallelBranchAndBound
@@ -180,8 +181,15 @@ class CompactSetTreeBuilder:
         rec = self.recorder
         if matrix.n == 0:
             raise ValueError("cannot build a tree over zero species")
+        # The job's progress stream: sub-solves report through a view
+        # that never closes it, and the build closes it once below.
+        tracker = current_progress()
+        if tracker is not None:
+            tracker.start()
         start = rec.clock()
-        with rec.span(
+        with progress_context(
+            None if tracker is None else tracker.subsolves()
+        ), rec.span(
             "pipeline.build",
             n=matrix.n,
             reduction=self.reduction,
@@ -209,6 +217,10 @@ class CompactSetTreeBuilder:
             elapsed_seconds=elapsed,
             reduction=self.reduction,
         )
+        if tracker is not None:
+            tracker.final(
+                result.cost, result.aggregate_search_stats or SearchStats()
+            )
         return result
 
     # ------------------------------------------------------------------

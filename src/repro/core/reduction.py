@@ -19,17 +19,13 @@ Worked example: for the paper's Figure 3 graph, the *maximum* matrix of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.matrix.distance_matrix import DistanceMatrix
 
 __all__ = ["reduce_matrix", "REDUCTIONS"]
-
-
-def _cross_block(matrix: DistanceMatrix, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-    return matrix.values[np.ix_(list(a), list(b))]
 
 
 REDUCTIONS: Dict[str, Callable[[np.ndarray], float]] = {
@@ -56,19 +52,30 @@ def reduce_matrix(
         raise ValueError(f"unknown reduction {mode!r}; choose from {sorted(REDUCTIONS)}")
     if len(groups) != len(labels):
         raise ValueError("need exactly one label per group")
-    seen: set = set()
+    order: List[int] = []
+    bounds = [0]
     for group in groups:
         if not group:
             raise ValueError("groups must be non-empty")
-        members = set(group)
-        if members & seen:
-            raise ValueError("groups must be disjoint")
-        seen |= members
+        order.extend(group)
+        bounds.append(len(order))
+    if len(set(order)) != len(order):
+        raise ValueError("groups must be disjoint")
     summarise = REDUCTIONS[mode]
+    # One fancy-index copy puts every group's rows and columns side by
+    # side; block (i, j) is then the slice between the group bounds.
+    ordered = matrix.values[np.ix_(order, order)]
+    # ``mean`` over a strided slice may sum in a different order than
+    # over a contiguous block, so averages summarise a contiguous copy
+    # and stay bit-identical to the per-block ``np.ix_`` gather.
+    contiguous = mode == "average"
     m = len(groups)
     values = np.zeros((m, m))
     for i in range(m):
+        rows = ordered[bounds[i]:bounds[i + 1]]
         for j in range(i + 1, m):
-            block = _cross_block(matrix, groups[i], groups[j])
+            block = rows[:, bounds[j]:bounds[j + 1]]
+            if contiguous:
+                block = np.ascontiguousarray(block)
             values[i, j] = values[j, i] = summarise(block)
     return DistanceMatrix(values, list(labels), validate=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple
 
+import numpy as np
 
 from repro.graph.union_find import UnionFind
 from repro.matrix.distance_matrix import DistanceMatrix
@@ -22,11 +23,17 @@ __all__ = ["kruskal_mst", "prim_mst", "mst_weight", "mst_is_unique"]
 Edge = Tuple[int, int, float]
 
 
-def _sorted_edges(matrix: DistanceMatrix) -> List[Edge]:
-    """All upper-triangle edges sorted by (weight, i, j) for determinism."""
-    edges = [(w, i, j) for i, j, w in matrix.pairs()]
-    edges.sort()
-    return [(i, j, w) for w, i, j in edges]
+def _sorted_edges(matrix: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle edges as ``(i, j, w)`` arrays sorted by weight.
+
+    ``triu_indices`` lists the pairs in row-major ``(i, j)`` order and the
+    stable sort keeps that order among equal weights, so the result is
+    ordered exactly as a ``(w, i, j)`` tuple sort would order it.
+    """
+    rows, cols = np.triu_indices(matrix.n, k=1)
+    weights = matrix.values[rows, cols]
+    order = np.argsort(weights, kind="stable")
+    return rows[order], cols[order], weights[order]
 
 
 def kruskal_mst(matrix: DistanceMatrix) -> List[Edge]:
@@ -39,7 +46,10 @@ def kruskal_mst(matrix: DistanceMatrix) -> List[Edge]:
     n = matrix.n
     uf = UnionFind(n)
     tree: List[Edge] = []
-    for i, j, w in _sorted_edges(matrix):
+    if n < 2:
+        return tree
+    rows, cols, weights = _sorted_edges(matrix)
+    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
         if uf.union(i, j):
             tree.append((i, j, w))
             if len(tree) == n - 1:

@@ -33,18 +33,27 @@ snapshots to the parent mid-``call()``).
 The tracker reaches the solver ambiently through
 :func:`progress_context`, mirroring ``trace_context``, so
 ``construct_tree`` and the service scheduler need no signature churn.
+
+A job that runs many solves (the compact-set pipeline solves one reduced
+matrix per hierarchy node) stays one stream: it binds
+:meth:`ProgressTracker.subsolves` around them, whose ``final`` folds a
+sub-solve's counters into the job's totals instead of closing the
+stream, and issues the job's single closing :meth:`ProgressTracker.final`
+itself.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional
 
 __all__ = [
     "ProgressTracker",
+    "SubsolveProgress",
     "progress_context",
     "current_progress",
     "format_progress_line",
@@ -110,8 +119,9 @@ class ProgressTracker:
     The solver calls :meth:`tick` once per loop iteration (cheap: one
     clock read and two comparisons when gated closed) and :meth:`final`
     once when the search settles (always fires, so every tracked solve
-    yields at least one snapshot).  A tracker is single-solve state;
-    create a fresh one per job.
+    yields at least one snapshot).  A tracker is single-job state;
+    create a fresh one per job.  A job of several solves drives it
+    through :meth:`subsolves` and closes it with one :meth:`final`.
 
     Parameters
     ----------
@@ -226,6 +236,10 @@ class ProgressTracker:
             self.start()
         self._report(incumbent, stats, open_nodes, self.clock(), final=True)
 
+    def subsolves(self) -> "SubsolveProgress":
+        """A view of this tracker for the solves inside one job."""
+        return SubsolveProgress(self)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -279,3 +293,66 @@ class ProgressTracker:
             self._nps_gauge.set(nps)
         if self.sink is not None:
             self.sink(snapshot)
+
+
+class _Counts:
+    """The two counters a report reads, summed over sub-solves."""
+
+    __slots__ = ("nodes_expanded", "nodes_created")
+
+    def __init__(self, nodes_expanded: int = 0, nodes_created: int = 0):
+        self.nodes_expanded = nodes_expanded
+        self.nodes_created = nodes_created
+
+
+class SubsolveProgress:
+    """A job's tracker as each solve inside a multi-solve job drives it.
+
+    Bind it (via :func:`progress_context`) around the solves; the solver
+    drives it exactly like a :class:`ProgressTracker`:
+
+    * :meth:`tick` reports only when the job tracker's interval gate is
+      open.  The incumbent-delta gate is skipped: each sub-solve has its
+      own matrix, so a cheaper incumbent than the last sub-solve's is no
+      improvement.
+    * Reports carry counters summed over the finished sub-solves plus the
+      running one; incumbent and lower bound are the running sub-solve's.
+    * :meth:`final` never closes the stream.  It adds the finished
+      sub-solve's counters to the totals; the job's owner issues the one
+      closing ``final`` on the tracker itself.
+
+    Thread-safe for sub-solves that run concurrently.
+    """
+
+    __slots__ = ("tracker", "_done", "_lock")
+
+    def __init__(self, tracker: ProgressTracker) -> None:
+        self.tracker = tracker
+        self._done = _Counts()
+        self._lock = threading.Lock()
+
+    def start(self) -> None:
+        """Anchor the job clock; a new sub-solve's lower bound starts
+        fresh (its matrix is not the last sub-solve's)."""
+        self.tracker.start()
+        self.tracker._best_lb = -math.inf
+
+    def tick(self, incumbent: float, stats, open_nodes) -> None:
+        tracker = self.tracker
+        if tracker._t0 is None:
+            tracker.start()
+        now = tracker.clock()
+        if now < tracker._next_report:
+            return
+        done = self._done
+        totals = _Counts(
+            done.nodes_expanded + stats.nodes_expanded,
+            done.nodes_created + stats.nodes_created,
+        )
+        tracker._report(incumbent, totals, open_nodes, now, final=False)
+
+    def final(self, incumbent: float, stats, open_nodes=()) -> None:
+        """Fold a finished sub-solve into the totals; reports nothing."""
+        with self._lock:
+            self._done.nodes_expanded += stats.nodes_expanded
+            self._done.nodes_created += stats.nodes_created

@@ -33,6 +33,7 @@ Failure taxonomy (all :class:`RuntimeError` subclasses, so existing
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_lib
 import time
 import traceback
@@ -49,6 +50,9 @@ __all__ = [
 
 #: Seconds between liveness checks while a parent waits on a child.
 DEFAULT_POLL_TIMEOUT = 0.25
+#: Seconds an idle slot child waits for a task before checking that
+#: its parent is still alive.
+ORPHAN_POLL_SECONDS = 0.5
 #: Consecutive empty polls tolerated after a worker exited cleanly (exit
 #: code 0) without its result arriving, before the parent gives up.
 #: Covers the short window in which a finished worker's queue feeder
@@ -234,10 +238,23 @@ def _slot_main(runner: Callable, task_queue, result_queue) -> None:
     doubles as a live progress channel (see :func:`emit_slot_progress`):
     ``("progress", payload)`` messages may precede the final
     ``("ok", ...)`` / ``("error", ...)`` message.
+
+    An idle child wakes every :data:`ORPHAN_POLL_SECONDS` and exits once
+    its parent is gone (``os.getppid()`` changed: the child was
+    re-parented).  A parent killed by SIGKILL never sends the stop
+    sentinel, and a child blocked in ``get()`` would otherwise live on.
     """
     global _SLOT_PROGRESS_QUEUE
+    parent = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=ORPHAN_POLL_SECONDS)
+        except queue_lib.Empty:
+            if os.getppid() != parent:
+                # Nobody will read a late result; do not block exit on it.
+                result_queue.cancel_join_thread()
+                return
+            continue
         if task is _STOP:
             return
         _SLOT_PROGRESS_QUEUE = result_queue

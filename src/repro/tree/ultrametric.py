@@ -15,7 +15,7 @@ which is the quantity the Minimum Ultrametric Tree problem minimises
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -118,13 +118,7 @@ class UltrametricTree:
 
     def copy(self) -> "UltrametricTree":
         """Deep structural copy."""
-
-        def clone(node: TreeNode) -> TreeNode:
-            return TreeNode(
-                node.height, [clone(c) for c in node.children], node.label
-            )
-
-        return UltrametricTree(clone(self.root))
+        return self.graft({})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -221,24 +215,54 @@ class UltrametricTree:
         (guaranteed by compactness when the *maximum* reduction is used);
         violations raise ``ValueError``.
         """
-        target = self._leaf(label)
-        parent = target.parent
-        grafted = subtree.copy()
-        if parent is not None and parent.height < grafted.root.height - 1e-9:
-            raise ValueError(
-                f"cannot graft subtree of height {grafted.root.height} under "
-                f"a parent of height {parent.height}"
-            )
-        result = self.copy()
-        new_target = result._leaf(label)
-        new_parent = new_target.parent
-        if new_parent is None:
-            # Replacing the whole (single-leaf) tree.
-            return grafted
-        position = new_parent.children.index(new_target)
-        new_parent.children[position] = grafted.root
-        grafted.root.parent = new_parent
-        return UltrametricTree(result.root)
+        self._leaf(label)  # KeyError for an unknown leaf
+        return self.graft({label: subtree})
+
+    def graft(self, subtrees: Mapping[str, "UltrametricTree"]) -> "UltrametricTree":
+        """Return a copy with every leaf named in ``subtrees`` replaced.
+
+        One pre-order pass copies this tree and, in place of each named
+        leaf, a copy of its subtree, building the new leaf index as it
+        goes -- so grafting ``k`` subtrees costs one copy of the result,
+        not ``k``.  Neither this tree nor the subtrees are modified.
+        Labels in ``subtrees`` that name no leaf are ignored.  Raises
+        ``ValueError`` when a subtree is taller than the parent of the
+        leaf it replaces, or when the result would repeat a leaf label.
+        """
+        index: Dict[str, TreeNode] = {}
+        new_root: Optional[TreeNode] = None
+        # (node to copy, parent of its copy, whether its leaves may be
+        # replaced): leaves inside a grafted subtree are never replaced.
+        stack: List[tuple] = [(self.root, None, True)]
+        while stack:
+            node, parent, replaceable = stack.pop()
+            if replaceable and not node.children and node.label in subtrees:
+                sub_root = subtrees[node.label].root  # type: ignore[index]
+                if parent is not None and parent.height < sub_root.height - 1e-9:
+                    raise ValueError(
+                        f"cannot graft subtree of height {sub_root.height} "
+                        f"under a parent of height {parent.height}"
+                    )
+                stack.append((sub_root, parent, False))
+                continue
+            clone = TreeNode(node.height, label=node.label)
+            if parent is None:
+                new_root = clone
+            else:
+                parent.add_child(clone)
+            if node.children:
+                for child in reversed(node.children):
+                    stack.append((child, clone, replaceable))
+            else:
+                if clone.label is None:
+                    raise ValueError("every leaf must carry a label")
+                if clone.label in index:
+                    raise ValueError(f"duplicate leaf label {clone.label!r}")
+                index[clone.label] = clone
+        tree = UltrametricTree.__new__(UltrametricTree)
+        tree.root = new_root
+        tree._leaf_index = index
+        return tree
 
     # ------------------------------------------------------------------
     # internals

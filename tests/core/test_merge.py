@@ -7,6 +7,7 @@ from repro.core.merge import merge_group_tree
 from repro.core.reduction import reduce_matrix
 from repro.matrix.generators import clustered_matrix
 from repro.tree.checks import dominates_matrix, is_valid_ultrametric_tree
+from repro.tree.newick import to_newick
 from repro.tree.ultrametric import UltrametricTree
 
 
@@ -103,3 +104,45 @@ class TestMergeSafetyTheorem:
                 found = True
                 break
         assert found
+
+
+class TestOnePassMerge:
+    """``merge_group_tree`` grafts every placeholder in one pass; the
+    result must equal grafting them one at a time."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_newick_as_chained_replace_leaf(self, seed):
+        m = clustered_matrix([3, 2, 4, 1, 3], seed=seed)
+        blocks = [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9], [10, 11, 12]]
+        names = ["__a__", "__b__", "__c__", m.labels[9], "__e__"]
+        reduced = reduce_matrix(m, blocks, names, mode="maximum")
+        group_tree = exact_mut(reduced).tree
+        subtrees = {
+            name: exact_mut(m.submatrix(block)).tree
+            for name, block in zip(names, blocks)
+            if len(block) > 1
+        }
+        before = to_newick(group_tree, precision=12)
+        chained = group_tree
+        for name, subtree in subtrees.items():
+            chained = chained.replace_leaf(name, subtree)
+        merged = merge_group_tree(group_tree, subtrees)
+        assert to_newick(merged, precision=12) == to_newick(
+            chained, precision=12
+        )
+        assert merged.leaf_labels == chained.leaf_labels
+        assert merged.cost() == chained.cost()
+        # Inputs are left as they were.
+        assert to_newick(group_tree, precision=12) == before
+        for subtree in subtrees.values():
+            assert subtree.root.parent is None
+
+    def test_duplicate_leaf_label_rejected(self):
+        group_tree = UltrametricTree.join(
+            UltrametricTree.leaf("__g__"), UltrametricTree.leaf("a"), 5.0
+        )
+        sub = UltrametricTree.join(
+            UltrametricTree.leaf("a"), UltrametricTree.leaf("b"), 1.0
+        )
+        with pytest.raises(ValueError, match="duplicate"):
+            merge_group_tree(group_tree, {"__g__": sub})

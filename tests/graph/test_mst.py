@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.mst import kruskal_mst, mst_is_unique, mst_weight, prim_mst
 from repro.graph.union_find import UnionFind
@@ -86,3 +88,38 @@ class TestUniqueness:
             ]
         )
         assert not mst_is_unique(m)
+
+
+def _tuple_sort_kruskal(matrix):
+    """Kruskal over the ``(w, i, j)`` tuple sort of every pair: the
+    reference order the vectorised edge sort must reproduce."""
+    edges = sorted((w, i, j) for i, j, w in matrix.pairs())
+    uf = UnionFind(matrix.n)
+    tree = []
+    for w, i, j in edges:
+        if uf.union(i, j):
+            tree.append((i, j, w))
+    return tree
+
+
+@st.composite
+def _tied_integer_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    top = draw(st.integers(min_value=1, max_value=4))  # few values: ties
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = draw(st.integers(1, top))
+    return DistanceMatrix(values)
+
+
+class TestKruskalTieOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_integer_matrices())
+    def test_edge_order_matches_tuple_sort(self, matrix):
+        edges = kruskal_mst(matrix)
+        assert edges == _tuple_sort_kruskal(matrix)
+        assert all(
+            type(i) is int and type(j) is int and type(w) is float
+            for i, j, w in edges
+        )

@@ -3,15 +3,19 @@
 The tracker's contract has three legs: deterministic throttle/delta
 gating under an injected clock, snapshot invariants (monotone lower
 bound, final-report guarantee, schema-v1 ``bnb.progress`` events), and
-a zero-cost disabled path in the solver's inner loop.
+a zero-cost disabled path in the solver's inner loop.  A multi-solve
+``compact`` job is one stream: its sub-solves never close it.
 """
 
 import math
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.bnb.sequential import exact_mut
+from repro.core.api import construct_tree
 from repro.matrix.generators import hierarchical_matrix
 from repro.obs import (
     NULL_RECORDER,
@@ -24,6 +28,7 @@ from repro.obs import (
     progress_context,
     trace_context,
 )
+from repro.service.scheduler import Scheduler
 
 
 class FakeClock:
@@ -273,3 +278,123 @@ class TestSolverIntegration:
         assert result.optimal
         assert not any(e.name == "bnb.progress" for e in rec.events)
         assert current_progress() is None
+
+
+class TestSubsolveView:
+    """``ProgressTracker.subsolves``: the view a job's sub-solves drive."""
+
+    def test_ticks_obey_the_interval_gate_only(self):
+        clock = FakeClock()
+        seen = []
+        tracker = ProgressTracker(
+            interval_seconds=1.0, clock=clock, sink=seen.append
+        )
+        view = tracker.subsolves()
+        view.start()
+        # A first (or cheaper) incumbent would open the delta gate of a
+        # plain tracker; sub-solve incumbents of different matrices
+        # must not.
+        view.tick(50.0, FakeStats(1, 2), [])
+        view.tick(10.0, FakeStats(2, 3), [])
+        assert seen == []
+        clock.now = 1.0
+        view.tick(10.0, FakeStats(3, 4), [FakeNode(8.0)])
+        assert len(seen) == 1 and seen[0]["final"] is False
+
+    def test_counters_accumulate_and_final_never_closes(self):
+        clock = FakeClock()
+        seen = []
+        tracker = ProgressTracker(
+            interval_seconds=1.0, clock=clock, sink=seen.append
+        )
+        view = tracker.subsolves()
+        view.start()
+        view.final(7.0, FakeStats(4, 9))
+        view.final(3.0, FakeStats(2, 5))
+        assert seen == []  # sub-solve finals report nothing
+        view.start()
+        clock.now = 2.0
+        view.tick(20.0, FakeStats(1, 1), [FakeNode(5.0)])
+        snap = seen[-1]
+        assert (snap["nodes_expanded"], snap["nodes_created"]) == (7, 15)
+        # The running sub-solve's bound, not an earlier sub-solve's.
+        assert snap["best_lower_bound"] == 5.0
+        tracker.final(30.0, FakeStats(7, 15))
+        assert [s["final"] for s in seen] == [False, True]
+
+
+    def test_concurrent_sub_solve_finals_lose_no_counts(self):
+        tracker = ProgressTracker(interval_seconds=0.0)
+        view = tracker.subsolves()
+        per_thread, threads = 2000, 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        view.final(1.0, FakeStats(1, 2))
+                        for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        view.tick(1.0, FakeStats(), [])
+        total = per_thread * threads
+        assert tracker.latest["nodes_expanded"] == total
+        assert tracker.latest["nodes_created"] == 2 * total
+
+
+def _compact_job_matrix():
+    return hierarchical_matrix([[6, 6]] * 5, seed=3, jitter=0.3)
+
+
+class TestCompactJobStream:
+    def test_in_process_compact_build_is_one_stream(self):
+        matrix = _compact_job_matrix()
+        seen = []
+        tracker = ProgressTracker(interval_seconds=0.0, sink=seen.append)
+        with progress_context(tracker):
+            result = construct_tree(matrix, "compact")
+        stats = result.details.aggregate_search_stats
+        # A zero interval lets every sub-solve tick report; still only
+        # one snapshot closes the stream, and it comes last.
+        assert [s["final"] for s in seen].count(True) == 1
+        assert seen[-1]["final"] is True
+        assert seen[-1]["nodes_expanded"] == stats.nodes_expanded
+        assert seen[-1]["nodes_created"] == stats.nodes_created
+        assert seen[-1]["incumbent_cost"] == result.cost
+        assert seen[-1]["gap"] == 0.0
+        expanded = [s["nodes_expanded"] for s in seen]
+        assert expanded == sorted(expanded)  # totals only grow
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_scheduled_compact_job_sends_one_final_snapshot(self, backend):
+        matrix = _compact_job_matrix()
+        expected = construct_tree(
+            matrix, "compact"
+        ).details.aggregate_search_stats.nodes_expanded
+        seen = []
+
+        class Recording(Scheduler):
+            def _publish_progress(self, job, snapshot):
+                seen.append(snapshot)
+                super()._publish_progress(job, snapshot)
+
+            def _absorb_progress(self, job, t_dispatch, message):
+                seen.append(message["snapshot"])
+                super()._absorb_progress(job, t_dispatch, message)
+
+        with Recording(workers=1, backend=backend) as sched:
+            sched.solve(matrix, "compact", timeout=60.0)
+        assert 1 <= len(seen) <= 3
+        assert [s["final"] for s in seen].count(True) == 1
+        assert seen[-1]["final"] is True
+        assert seen[-1]["nodes_expanded"] == expected

@@ -330,3 +330,33 @@ def test_live_phylip_solve_and_version(live_server):
     )
     assert out.returncode == 0
     assert health["version"] in out.stdout
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_sigkilled_server_leaves_no_worker_processes(live_process_server):
+    """A SIGKILLed server never sends its workers the stop sentinel;
+    they notice the lost parent and exit on their own."""
+    proc, client, _ = live_process_server
+    pids = [int(pid) for pid in client.stats()["worker_pids"].values()]
+    assert len(pids) == 2
+    assert all(_running(pid) for pid in pids)
+    proc.kill()
+    proc.wait(timeout=10)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and any(_running(p) for p in pids):
+        time.sleep(0.1)
+    assert not [pid for pid in pids if _running(pid)]

@@ -118,6 +118,19 @@ class TestReplaceLeaf:
         assert t.has_leaf("c")
         assert merged.has_leaf("z") and not merged.has_leaf("c")
 
+    def test_graft_shares_no_nodes_with_its_inputs(self):
+        t = build_caterpillar()
+        sub = UltrametricTree.join(
+            UltrametricTree.leaf("c1"), UltrametricTree.leaf("c2"), 0.5
+        )
+        merged = t.replace_leaf("c", sub)
+        inputs = {id(node) for node in t.root.walk()}
+        inputs |= {id(node) for node in sub.root.walk()}
+        assert not inputs & {id(node) for node in merged.root.walk()}
+        assert sub.root.parent is None
+        assert sub.leaf_labels == ["c1", "c2"]
+        assert t.leaf_labels == ["a", "b", "c"]
+
     def test_graft_too_tall_rejected(self):
         t = build_caterpillar()
         tall = UltrametricTree.join(
