@@ -87,7 +87,7 @@ class IngestResult:
 def _matrix_to_artifact(matrix: DistanceMatrix) -> Dict[str, object]:
     return {
         "labels": list(matrix.labels),
-        "values": [[float(v) for v in row] for row in matrix.values],
+        "values": matrix.values.tolist(),
     }
 
 

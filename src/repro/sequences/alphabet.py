@@ -49,9 +49,7 @@ PROTEIN_AMBIGUITY = "BJOUXZ"
 #: Alignment gap characters tolerated in aligned FASTA.
 GAP_CHARS = "-."
 
-_DNA_SET = frozenset(DNA_ALPHABET)
 _DNA_FULL = frozenset(DNA_ALPHABET + DNA_AMBIGUITY + GAP_CHARS + "U")
-_PROTEIN_SET = frozenset(PROTEIN_ALPHABET)
 _PROTEIN_FULL = frozenset(PROTEIN_ALPHABET + PROTEIN_AMBIGUITY + GAP_CHARS)
 
 RngLike = Union[int, np.random.Generator, None]
@@ -97,16 +95,16 @@ def classify_sequence(sequence: str) -> str:
     if not chars:
         return "unknown"
     if chars <= _DNA_FULL:
-        residues = [c for c in upper if c not in GAP_CHARS]
+        residues = len(upper) - _count(upper, GAP_CHARS)
         if not residues:
             return "unknown"
-        acgt = sum(1 for c in residues if c in _DNA_SET)
+        acgt = _count(upper, DNA_ALPHABET)
         # Mostly unambiguous nucleotides: DNA.  An all-N smear (or an
         # ambiguity-dominated read) is still DNA-shaped; only when the
         # letters could equally be amino acids do we need the majority
         # test, and every DNA ambiguity code *is* an amino-acid letter,
         # so the 50% rule keeps e.g. "NHWKDS..." protein out of "dna".
-        if acgt * 2 >= len(residues):
+        if acgt * 2 >= residues:
             return "dna"
         if chars <= frozenset(DNA_AMBIGUITY + GAP_CHARS):
             # No ACGT at all but pure ambiguity codes -- an N-run.
@@ -127,12 +125,20 @@ def ambiguity_fraction(sequence: str) -> float:
     Empty sequences report 1.0 -- maximally uninformative.
     """
     upper = sequence.upper()
+    return _ambiguity_fraction(upper, classify_sequence(upper))
+
+
+def _count(text: str, symbols: str) -> int:
+    """Occurrences in ``text`` of any of the distinct ``symbols``."""
+    return sum(map(text.count, symbols))
+
+
+def _ambiguity_fraction(upper: str, kind: str) -> float:
+    """:func:`ambiguity_fraction` of an upper-cased sequence of ``kind``."""
     if not upper:
         return 1.0
-    kind = classify_sequence(upper)
-    core = _PROTEIN_SET if kind == "protein" else _DNA_SET
-    ambiguous = sum(1 for c in upper if c not in core)
-    return ambiguous / len(upper)
+    core = PROTEIN_ALPHABET if kind == "protein" else DNA_ALPHABET
+    return (len(upper) - _count(upper, core)) / len(upper)
 
 
 def detect_alphabet(sequences: Iterable[str]) -> str:
@@ -142,11 +148,12 @@ def detect_alphabet(sequences: Iterable[str]) -> str:
     agrees, ``"mixed"`` when they disagree, and ``"unknown"`` when no
     sequence classifies at all (or the batch is empty).
     """
-    seen = set()
-    for sequence in sequences:
-        kind = classify_sequence(sequence)
-        if kind != "unknown":
-            seen.add(kind)
+    return _consensus(map(classify_sequence, sequences))
+
+
+def _consensus(kinds: Iterable[str]) -> str:
+    """:func:`detect_alphabet` over already-classified sequences."""
+    seen = set(kinds) - {"unknown"}
     if not seen:
         return "unknown"
     if len(seen) > 1:

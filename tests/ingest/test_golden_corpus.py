@@ -86,6 +86,13 @@ class TestGoldenManifestPin:
         )
         assert strip_volatile(outcome.manifest.to_json()) == pinned
 
+    def test_clean_dna_jc_manifest_matches_pin(self):
+        outcome = run_fixture("clean_dna.fasta", distance="jc", verify=True)
+        pinned = json.loads(
+            (FIXTURES / "clean_dna.jc.manifest.json").read_text()
+        )
+        assert strip_volatile(outcome.manifest.to_json()) == pinned
+
     def test_strip_volatile_removes_what_varies(self):
         outcome = run_fixture("clean_dna.fasta", verify=True)
         raw = outcome.manifest.to_json()

@@ -151,3 +151,129 @@ class TestPipelineMatrix:
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
             resolve_method("manhattan")
+
+
+# ----------------------------------------------------------------------
+# The matrix builder and saturated_pairs count mismatches with NumPy;
+# these references are the pair-by-pair scalar loops they replaced, and
+# every entry must agree to the bit.
+# ----------------------------------------------------------------------
+def reference_matrix(family, order, method, scale):
+    fn = {
+        "p": p_distance,
+        "p-count": lambda a, b: p_distance(a, b, normalized=False),
+        "jc": jukes_cantor_distance,
+    }[method]
+    n = len(order)
+    values = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = fn(family[order[i]], family[order[j]]) * scale
+            values[i, j] = values[j, i] = d
+    return values
+
+
+def reference_saturated(family, order, threshold):
+    flagged = []
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            p = p_distance(family[a], family[b])
+            if p >= threshold:
+                flagged.append((a, b, p))
+    return flagged
+
+
+#: Lowercase, gaps, ambiguity codes and non-ASCII (including a
+#: character outside the BMP): the count pass must compare code points
+#: exactly, whatever the encoding.
+SITES = "ACGTacgt-.Né中\U0001F9EC"
+
+
+@st.composite
+def mixed_families(draw, max_n=6, max_length=12):
+    n = draw(st.integers(0, max_n))
+    length = draw(st.integers(0, max_length))
+    alphabet = draw(st.sampled_from(["AC", "ACGT", SITES]))
+    fixed = st.text(alphabet=alphabet, min_size=length, max_size=length)
+    seqs = draw(st.lists(fixed, min_size=n, max_size=n))
+    return {f"s{i}": seq for i, seq in enumerate(seqs)}
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+class TestCountPassEquivalence:
+    @RELAXED
+    @given(
+        mixed_families(),
+        st.sampled_from(["p", "p-count", "jc"]),
+        st.sampled_from([0.5, 3.0, 100.0, 1.0 / 3.0]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matrix_equals_scalar_loop(self, family, method, scale, rnd):
+        order = sorted(family)
+        rnd.shuffle(order)
+        got = distance_matrix_from_sequences(
+            family, method=method, scale=scale, order=order, repair=False
+        )
+        assert got.labels == order
+        assert_bit_identical(
+            got.values, reference_matrix(family, order, method, scale)
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("method", ["p", "p-count", "jc"])
+    def test_small_and_empty_families(self, n, method):
+        for length in (0, 5):
+            family = {f"s{i}": "ACGTN"[i:] + "ACGTN"[:i] for i in range(n)}
+            family = {k: v[:length] for k, v in family.items()}
+            order = sorted(family)
+            got = distance_matrix_from_sequences(
+                family, method=method, scale=2.5, repair=False
+            )
+            assert_bit_identical(
+                got.values, reference_matrix(family, order, method, 2.5)
+            )
+
+    @pytest.mark.parametrize("differing,length", [
+        (2, 4), (1499, 2000), (3, 4), (4, 4),
+    ])
+    def test_jc_at_and_past_saturation(self, differing, length):
+        # p = 0.5, 0.7495 (between the 0.749 cap and the 0.75 clamp
+        # boundary: not clamped), 0.75 and 1.0.
+        family = {
+            "a": "A" * length,
+            "b": "C" * differing + "A" * (length - differing),
+            "c": "A" * length,
+        }
+        order = ["b", "a", "c"]
+        got = distance_matrix_from_sequences(
+            family, method="jc", scale=7.0, order=order, repair=False
+        )
+        assert_bit_identical(
+            got.values, reference_matrix(family, order, "jc", 7.0)
+        )
+
+    @RELAXED
+    @given(
+        mixed_families(),
+        st.sampled_from([0.0, 0.25, 0.5, SATURATION_THRESHOLD, 1.0]),
+        st.randoms(use_true_random=False),
+    )
+    def test_saturated_pairs_equals_scalar_loop(self, family, threshold, rnd):
+        order = sorted(family)
+        rnd.shuffle(order)
+        got = saturated_pairs(family, order=order, threshold=threshold)
+        assert got == reference_saturated(family, order, threshold)
+        assert all(type(p) is float for _, _, p in got)
+
+    @pytest.mark.parametrize("method", ["p", "p-count", "jc"])
+    def test_unaligned_input_names_both_lengths(self, method):
+        family = {"a": "ACGT", "b": "ACGT", "c": "ACG"}
+        with pytest.raises(ValueError, match=r"lengths 4 vs 3"):
+            distance_matrix_from_sequences(family, method=method)
+        with pytest.raises(ValueError, match=r"lengths 4 vs 3"):
+            saturated_pairs(family)
