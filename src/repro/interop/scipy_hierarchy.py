@@ -82,6 +82,7 @@ def linkage_to_tree(
         raise ValueError(f"{len(labels)} labels for a {n}-leaf linkage")
 
     nodes: List[TreeNode] = [TreeNode(0.0, label=label) for label in labels]
+    sizes = [1] * n  # leaves below each node
     for row_index, (a, b, distance, size) in enumerate(z):
         ia, ib = int(a), int(b)
         limit = n + row_index
@@ -94,8 +95,9 @@ def linkage_to_tree(
                 f"linkage row {row_index} is non-monotone "
                 f"(distance {distance} below a child merge)"
             )
-        if int(size) != len(left.leaves()) + len(right.leaves()):
+        if int(size) != sizes[ia] + sizes[ib]:
             raise ValueError(f"linkage row {row_index} has a wrong size field")
+        sizes.append(sizes[ia] + sizes[ib])
         nodes.append(TreeNode(max(height, left.height, right.height),
                               [left, right]))
     return UltrametricTree(nodes[-1])

@@ -80,6 +80,7 @@ from repro.parallel.executor import (
 from repro.service.cache import ResultCache, cache_key, result_payload
 from repro.service.errors import QueueFull, SchedulerClosed
 from repro.service.jobs import Job, JobState
+from repro.tree.ultrametric import UltrametricTree
 
 __all__ = [
     "BACKENDS",
@@ -550,6 +551,7 @@ class Scheduler:
                 backend=self.backend,
             ):
                 payload = self.cache.get(job.key)
+                tree = None  # the payload's tree, once something parsed it
                 if payload is not None:
                     cache_status = "hit"
                     rec.counter("cache.hit", key=job.key[:12])
@@ -560,6 +562,7 @@ class Scheduler:
                     self._m_cache_miss.inc()
                     if slot is not None:
                         payload = self._run_in_slot(slot, job, rec)
+                        tree = self._verify_receipt(job, payload)
                     else:
                         tracker = ProgressTracker(
                             recorder=rec,
@@ -574,7 +577,9 @@ class Scheduler:
                             )
                     self.cache.put(job.key, payload)
                 if job.verify:
-                    job.verification = self._verify_payload(job, payload)
+                    job.verification = self._verify_payload(
+                        job, payload, tree
+                    )
         except WorkerTimeout as exc:
             rec.counter("job.timeout", job=job.id)
             self._observe_job(job, "error", t0)
@@ -651,9 +656,7 @@ class Scheduler:
             rec.ingest(out["events"], offset=t_dispatch - out["clock0"])
         if out["metric_ops"]:
             replay_metric_ops(self.metrics, out["metric_ops"])
-        payload = out["payload"]
-        self._verify_receipt(job, payload)
-        return payload
+        return out["payload"]
 
     def _publish_progress(self, job: Job, snapshot: dict) -> None:
         """Thread-backend progress sink: latest snapshot onto the job."""
@@ -692,7 +695,9 @@ class Scheduler:
         if nps is not None:
             self._m_bnb_nps.set(nps)
 
-    def _verify_receipt(self, job: Job, payload: dict) -> None:
+    def _verify_receipt(
+        self, job: Job, payload: dict
+    ) -> Optional[UltrametricTree]:
         """Prove a process-transported payload before accepting it.
 
         The reported cost must match the cost recomputed from the
@@ -701,29 +706,40 @@ class Scheduler:
         cache.  Only meaningful for the default runner's payload shape
         (test runners ship arbitrary dicts) and skipped for ``nj``
         (additive trees have no ultrametric cost to recompute).
+        Returns the parsed tree, so verification need not parse the
+        same text again, or ``None`` when the check was skipped.
         """
         if self._runner is not solve_payload or job.method == "nj":
-            return
+            return None
         newick = payload.get("newick")
         cost = payload.get("cost")
         if newick is None or cost is None:
-            return
+            return None
         from repro.tree.newick import parse_newick
 
-        recomputed = parse_newick(newick).cost()
+        tree = parse_newick(newick)
+        recomputed = tree.cost()
         if abs(recomputed - float(cost)) > _RECEIPT_EPS:
             raise RuntimeError(
                 f"worker payload failed receipt verification: reported "
                 f"cost {cost!r} but its newick reconstructs to "
                 f"{recomputed!r} (|delta| > {_RECEIPT_EPS:g})"
             )
+        return tree
 
-    def _verify_payload(self, job: Job, payload: dict) -> dict:
+    def _verify_payload(
+        self,
+        job: Job,
+        payload: dict,
+        tree: Optional[UltrametricTree] = None,
+    ) -> dict:
         """Run the result oracles on a solved (or cached) payload.
 
         The tree is reconstructed from the payload's Newick string --
         deliberately: the oracles then cover exactly what a client
         receives, including cache corruption and serialization drift.
+        ``tree`` is that reconstruction when the receipt check already
+        parsed this payload's Newick; a cache hit always parses afresh.
         Each oracle runs inside a ``verify.oracle`` span on the shared
         recorder and every violation bumps the
         ``verify.violations{oracle}`` metric.  Verification never fails
@@ -737,7 +753,8 @@ class Scheduler:
                 "skipped": "nj trees are additive; the ultrametric "
                            "oracles do not apply",
             }
-        tree = parse_newick(payload["newick"])
+        if tree is None:
+            tree = parse_newick(payload["newick"])
         violations = run_oracles(
             tree,
             job.matrix,

@@ -12,14 +12,15 @@ species"; these metrics let the experiments quantify that claim:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Set
+from typing import FrozenSet, List, Set, Tuple
 
 import numpy as np
 
 from repro.matrix.distance_matrix import DistanceMatrix
-from repro.tree.ultrametric import UltrametricTree
+from repro.tree.ultrametric import TreeNode, UltrametricTree
 
 __all__ = [
+    "clade_sets",
     "clades",
     "robinson_foulds",
     "normalized_robinson_foulds",
@@ -28,21 +29,40 @@ __all__ = [
 ]
 
 
+def clade_sets(root: TreeNode) -> List[Tuple[TreeNode, FrozenSet[str]]]:
+    """Every internal node under ``root`` with the labels of its leaves.
+
+    Nodes come in :meth:`TreeNode.walk` order.  One bottom-up pass builds
+    each node's set from its children's sets, instead of walking the
+    whole subtree under every node.
+    """
+    below: List[FrozenSet[str]] = []  # the set of each finished subtree
+    found: List[Tuple[TreeNode, FrozenSet[str]]] = []
+    for node in reversed(list(root.walk())):  # each node after its children
+        k = len(node.children)
+        if not k:
+            below.append(frozenset((node.label or "",)))
+            continue
+        members = frozenset().union(*below[len(below) - k:])
+        del below[len(below) - k:]
+        below.append(members)
+        found.append((node, members))
+    found.reverse()
+    return found
+
+
 def clades(tree: UltrametricTree) -> Set[FrozenSet[str]]:
     """The non-trivial clades of a rooted tree.
 
     A clade is the leaf-label set below an internal node; singletons and
     the full leaf set are excluded (every tree has those).
     """
-    all_labels = frozenset(tree.leaf_labels)
-    result: Set[FrozenSet[str]] = set()
-    for node in tree.root.walk():
-        if node.is_leaf:
-            continue
-        members = frozenset(leaf.label or "" for leaf in node.leaves())
-        if 1 < len(members) < len(all_labels):
-            result.add(members)
-    return result
+    n_labels = len(frozenset(tree.leaf_labels))
+    return {
+        members
+        for _, members in clade_sets(tree.root)
+        if 1 < len(members) < n_labels
+    }
 
 
 def _check_same_leaves(a: UltrametricTree, b: UltrametricTree) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.tree.compare import clades
+from repro.tree.compare import clade_sets, clades
 from repro.tree.ultrametric import TreeNode, UltrametricTree
 
 __all__ = ["majority_consensus", "clade_support"]
@@ -46,12 +46,7 @@ def _average_clade_heights(
     }
     kept_set = set(kept)
     for tree in trees:
-        for node in tree.root.walk():
-            if node.is_leaf:
-                continue
-            members = frozenset(
-                leaf.label or "" for leaf in node.leaves()
-            )
+        for node, members in clade_sets(tree.root):
             if members in kept_set:
                 total, count = totals[members]
                 totals[members] = (total + node.height, count + 1)

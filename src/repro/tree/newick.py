@@ -8,7 +8,8 @@ round trip preserves the tree exactly (up to floating point formatting).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import re
+from typing import List, Optional, Union
 
 from repro.tree.ultrametric import TreeNode, UltrametricTree
 
@@ -19,115 +20,71 @@ class NewickError(ValueError):
     """Raised on malformed Newick input."""
 
 
+# A label needs quotes when it holds a delimiter, a quote, a space, tab
+# or newline, or when it starts or ends with whitespace: the parser
+# strips whitespace around an unquoted label.
+_NEEDS_QUOTES = re.compile(r"[(),:;' \t\n]|\A\s|\s\Z")
+
+
 def _escape(label: str) -> str:
-    if any(ch in label for ch in "(),:;' \t\n"):
+    if _NEEDS_QUOTES.search(label):
         return "'" + label.replace("'", "''") + "'"
     return label
 
 
 def to_newick(tree: UltrametricTree, *, precision: int = 6) -> str:
     """Serialize ``tree`` to a Newick string with branch lengths."""
-
-    def render(node: TreeNode, parent_height: float) -> str:
-        length = parent_height - node.height
-        suffix = f":{length:.{precision}f}"
-        if node.is_leaf:
-            return f"{_escape(node.label or '')}{suffix}"
-        inner = ",".join(render(child, node.height) for child in node.children)
-        return f"({inner}){suffix}"
-
     root = tree.root
     if root.is_leaf:
         return f"{_escape(root.label or '')};"
-    inner = ",".join(render(child, root.height) for child in root.children)
-    return f"({inner});"
+    parts: List[str] = []
+    # Each entry is either text to emit or ``(node, text after it)``;
+    # the text after a node is its ``:length`` suffix (``;`` at the root).
+    stack: List[Union[str, tuple]] = [(root, ";")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, suffix = item
+        if not node.children:
+            parts.append(_escape(node.label or ""))
+            parts.append(suffix)
+            continue
+        parts.append("(")
+        stack.append(")" + suffix)
+        height = node.height
+        children = node.children
+        for k in range(len(children) - 1, -1, -1):
+            child = children[k]
+            stack.append((child, f":{height - child.height:.{precision}f}"))
+            if k:
+                stack.append(",")
+    return "".join(parts)
 
 
-class _Parser:
-    """Recursive-descent Newick parser producing ``(label, length, children)``."""
+# One token per match, tried in this order.  Every character starts some
+# token, so consecutive matches tile the text.  ``\s`` is exactly
+# ``str.isspace``.  A quoted label closes at the first quote not
+# followed by another (``''`` inside is a literal quote); ``quote`` is an
+# opening quote that never closes.  An unquoted label runs to the next
+# delimiter, inner spaces and quotes included, trailing whitespace
+# stripped.
+_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<open>\()"
+    r"|(?P<close>\))"
+    r"|(?P<comma>,)"
+    r"|(?P<semi>;)"
+    r"|:(?P<length>[\d.eE+-]*)"
+    r"|'(?P<quoted>(?:[^']|'')*)'(?!')"
+    r"|(?P<quote>')"
+    r"|(?P<label>[^(),:;'\s][^(),:;]*)"
+)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> Tuple:
-        node = self._node()
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ";":
-            self.pos += 1
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise NewickError(
-                f"trailing characters at position {self.pos}: "
-                f"{self.text[self.pos:self.pos + 10]!r}"
-            )
-        return node
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _node(self) -> Tuple:
-        self._skip_ws()
-        children: List[Tuple] = []
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            self.pos += 1
-            while True:
-                children.append(self._node())
-                self._skip_ws()
-                if self.pos >= len(self.text):
-                    raise NewickError("unbalanced parentheses")
-                if self.text[self.pos] == ",":
-                    self.pos += 1
-                    continue
-                if self.text[self.pos] == ")":
-                    self.pos += 1
-                    break
-                raise NewickError(
-                    f"expected ',' or ')' at position {self.pos}"
-                )
-        label = self._label()
-        length = self._length()
-        return (label, length, children)
-
-    def _label(self) -> str:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "'":
-            self.pos += 1
-            chars: List[str] = []
-            while self.pos < len(self.text):
-                ch = self.text[self.pos]
-                if ch == "'":
-                    if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == "'":
-                        chars.append("'")
-                        self.pos += 2
-                        continue
-                    self.pos += 1
-                    return "".join(chars)
-                chars.append(ch)
-                self.pos += 1
-            raise NewickError("unterminated quoted label")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in "(),:;":
-            self.pos += 1
-        return self.text[start : self.pos].strip()
-
-    def _length(self) -> float:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ":":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
-            ):
-                self.pos += 1
-            try:
-                return float(self.text[start : self.pos])
-            except ValueError:
-                raise NewickError(
-                    f"bad branch length at position {start}"
-                ) from None
-        return 0.0
+# Parser states, in the order a token falls through them: a token that
+# does not fit a state completes it and is offered to the next one.
+_NODE, _LABEL, _LENGTH, _AFTER, _END, _DONE = range(6)
 
 
 def parse_newick(text: str) -> UltrametricTree:
@@ -137,21 +94,97 @@ def parse_newick(text: str) -> UltrametricTree:
     ``child height + child branch length`` over its children (for genuinely
     ultrametric input all children agree).  Raises :class:`NewickError`
     on malformed input.
+
+    One left-to-right pass over the tokens builds the nodes directly.
+    Syntax errors are raised where they occur; a leaf without a label is
+    reported only once the whole text has parsed.
     """
-    label, _, children = _Parser(text).parse()
-
-    def build(spec: Tuple) -> TreeNode:
-        spec_label, _, spec_children = spec
-        if not spec_children:
-            if not spec_label:
-                raise NewickError("leaf without a label")
-            return TreeNode(0.0, label=spec_label)
-        built = [build(child) for child in spec_children]
-        height = max(
-            child.height + child_spec[1]
-            for child, child_spec in zip(built, spec_children)
+    kids_stack: List[List[TreeNode]] = []  # children of each open '('
+    best_stack: List[Optional[float]] = []  # running height of each open '('
+    children: Optional[List[TreeNode]] = None  # of the node being closed
+    height = 0.0
+    label = ""
+    root: Optional[TreeNode] = None
+    unlabelled = False
+    state = _NODE
+    matches = list(_TOKEN.finditer(text))
+    matches.append(None)  # end of text
+    for match in matches:
+        kind = match.lastgroup if match is not None else "eof"
+        if kind == "ws":
+            continue
+        if state == _NODE:
+            if kind == "open":
+                kids_stack.append([])
+                best_stack.append(None)
+                continue
+            children = None
+            state = _LABEL
+        if state == _LABEL:
+            state = _LENGTH
+            if kind == "label":
+                label = match.group("label").rstrip()
+                continue
+            if kind == "quoted":
+                label = match.group("quoted").replace("''", "'")
+                continue
+            if kind == "quote":
+                raise NewickError("unterminated quoted label")
+            label = ""
+        if state == _LENGTH:
+            length = 0.0
+            if kind == "length":
+                start = match.start() + 1
+                end = match.end()
+                # ``\d`` is the decimal digits; any other digit character
+                # extends the length and no float accepts it.
+                if end < len(text) and text[end].isdigit():
+                    raise NewickError(f"bad branch length at position {start}")
+                try:
+                    length = float(match.group("length"))
+                except ValueError:
+                    raise NewickError(
+                        f"bad branch length at position {start}"
+                    ) from None
+            if children is None:
+                unlabelled = unlabelled or not label
+                node = TreeNode(0.0, label=label)
+            else:
+                node = TreeNode(height, children, label=label or None)
+            if kids_stack:
+                kids_stack[-1].append(node)
+                value = node.height + length
+                best = best_stack[-1]
+                if best is None or value > best:
+                    best_stack[-1] = value
+                state = _AFTER
+            else:
+                root = node
+                state = _END
+            if kind == "length":
+                continue
+        if state == _AFTER:
+            if kind == "comma":
+                state = _NODE
+                continue
+            if kind == "close":
+                children = kids_stack.pop()
+                height = best_stack.pop()  # type: ignore[assignment]
+                state = _LABEL
+                continue
+            if kind == "eof":
+                raise NewickError("unbalanced parentheses")
+            raise NewickError(f"expected ',' or ')' at position {match.start()}")
+        if kind == "eof":
+            break
+        if state == _END and kind == "semi":
+            state = _DONE
+            continue
+        position = match.start()
+        raise NewickError(
+            f"trailing characters at position {position}: "
+            f"{text[position:position + 10]!r}"
         )
-        return TreeNode(height, built, label=spec_label or None)
-
-    root = build((label, 0.0, children))
+    if unlabelled:
+        raise NewickError("leaf without a label")
     return UltrametricTree(root)

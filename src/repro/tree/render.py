@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.tree.compare import clade_sets
 from repro.tree.ultrametric import TreeNode, UltrametricTree
 
 __all__ = ["render_ascii", "render_heights"]
@@ -62,12 +63,10 @@ def render_heights(tree: UltrametricTree) -> str:
     Useful when the dendrogram is too wide; one line per internal node,
     sorted by height (deepest merges first).
     """
-    entries = []
-    for node in tree.root.walk():
-        if node.is_leaf:
-            continue
-        leaves = sorted(leaf.label or "" for leaf in node.leaves())
-        entries.append((node.height, leaves))
+    entries = [
+        (node.height, sorted(members))
+        for node, members in clade_sets(tree.root)
+    ]
     entries.sort(key=lambda e: (e[0], e[1]))
     return "\n".join(
         f"h={height:10.4f}  {{{', '.join(leaves)}}}" for height, leaves in entries

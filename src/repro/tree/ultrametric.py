@@ -65,7 +65,15 @@ class TreeNode:
 
     def leaves(self) -> List["TreeNode"]:
         """All leaf nodes below (or equal to) this node, left to right."""
-        return [node for node in self.walk() if node.is_leaf]
+        found = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                found.append(node)
+        return found
 
     def __repr__(self) -> str:
         if self.is_leaf:
@@ -167,40 +175,45 @@ class UltrametricTree:
     def distance_matrix(self, labels: Optional[Sequence[str]] = None) -> DistanceMatrix:
         """The full matrix of induced distances (useful in tests)."""
         labels = list(labels) if labels is not None else self.leaf_labels
-        n = len(labels)
-        values = np.zeros((n, n))
-        heights = self._lca_heights(labels)
-        for i in range(n):
-            for j in range(i + 1, n):
-                values[i, j] = values[j, i] = 2.0 * heights[i, j]
-        return DistanceMatrix(values, labels, validate=False)
+        return DistanceMatrix(
+            2.0 * self._lca_heights(labels), labels, validate=False
+        )
 
     def _lca_heights(self, labels: Sequence[str]) -> np.ndarray:
         """Matrix of LCA heights for the given leaf labels.
 
-        Computed in one post-order pass instead of quadratic LCA queries.
+        The diagonal, and every row and column of a label the tree lacks,
+        is 0.  One bottom-up pass numbers the leaves as it meets them, so
+        the leaves below a node are a contiguous run of positions, and
+        each internal node writes its height into the blocks between its
+        children with slice assignments.  One gather then maps positions
+        onto ``labels``.
         """
-        index = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
-        heights = np.zeros((n, n))
-
-        def collect(node: TreeNode) -> List[int]:
-            if node.is_leaf:
-                i = index.get(node.label)  # type: ignore[arg-type]
-                return [i] if i is not None else []
-            groups = [collect(child) for child in node.children]
-            for gi in range(len(groups)):
-                for gj in range(gi + 1, len(groups)):
-                    for a in groups[gi]:
-                        for b in groups[gj]:
-                            heights[a, b] = heights[b, a] = node.height
-            merged: List[int] = []
-            for g in groups:
-                merged.extend(g)
-            return merged
-
-        collect(self.root)
-        return heights
+        order = list(self.root.walk())
+        m = sum(1 for node in order if not node.children)
+        # Row and column ``m`` stay 0: the gather's slot for absent labels.
+        heights = np.zeros((m + 1, m + 1))
+        position: Dict[Optional[str], int] = {}
+        starts: List[int] = []  # first leaf position of each finished subtree
+        end = 0  # one past the last leaf position seen so far
+        for node in reversed(order):  # each node after its children
+            k = len(node.children)
+            if not k:
+                position[node.label] = end
+                starts.append(end)
+                end += 1
+                continue
+            height = node.height
+            # The k children finished last; each spans from its start to
+            # the next one's, and the final one ends at ``end``.  Pair each
+            # child with all the children after it.
+            for c in range(len(starts) - k, len(starts) - 1):
+                lo, mid = starts[c], starts[c + 1]
+                heights[lo:mid, mid:end] = height
+                heights[mid:end, lo:mid] = height
+            del starts[len(starts) - k + 1:]
+        index = np.array([position.get(label, m) for label in labels], dtype=np.intp)
+        return heights.take(index, axis=0).take(index, axis=1)
 
     # ------------------------------------------------------------------
     # mutation used by the compact-set merge

@@ -29,6 +29,7 @@ still produces a structured report the fuzz loop can shrink.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -84,6 +85,18 @@ class VerificationContext:
     matrix: DistanceMatrix
     reported_cost: Optional[float] = None
     method: Optional[str] = None
+
+    @cached_property
+    def induced(self) -> DistanceMatrix:
+        """The tree's induced distances, computed once for every oracle.
+
+        Ordered like the matrix when the tree's leaves are exactly the
+        matrix species, and in leaf order otherwise.
+        """
+        labels = self.matrix.labels
+        if set(labels) != set(self.tree.leaf_labels):
+            labels = self.tree.leaf_labels
+        return self.tree.distance_matrix(labels)
 
 
 class Oracle:
@@ -210,7 +223,7 @@ class FeasibilityOracle(Oracle):
         labels = ctx.matrix.labels
         if set(labels) != set(ctx.tree.leaf_labels):
             return []  # the labels oracle owns this failure
-        induced = ctx.tree.distance_matrix(labels)
+        induced = ctx.induced
         slack = induced.values - ctx.matrix.values
         if (slack >= -_TOL).all():
             return []
@@ -297,8 +310,9 @@ class NewickOracle(Oracle):
                     {"robinson_foulds": int(rf), "newick": text},
                 )
             )
-        original = ctx.tree.distance_matrix(ctx.tree.leaf_labels)
-        reparsed = parsed.distance_matrix(ctx.tree.leaf_labels)
+        # The largest drift over all pairs does not depend on their order.
+        original = ctx.induced
+        reparsed = parsed.distance_matrix(original.labels)
         drift = float(np.abs(original.values - reparsed.values).max())
         if drift > self.height_atol:
             violations.append(

@@ -234,6 +234,32 @@ class TestReceiptVerification:
             # The genuine payload passes.
             sched._verify_receipt(job, good)
 
+    def test_verified_miss_parses_its_newick_twice(self, matrix, monkeypatch):
+        # Verification reuses the tree the receipt check parsed; the
+        # only other parse is the Newick oracle's round trip.  A cache
+        # hit has no receipt, so verification parses it afresh.
+        import repro.tree.newick as newick
+
+        parsed = []
+        real_parse = newick.parse_newick
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(newick, "parse_newick", counting_parse)
+        with Scheduler(workers=1, backend="process") as sched:
+            miss = sched.submit(matrix, "compact", verify=True)
+            miss.result(60.0)
+            assert miss.cache_status == "miss"
+            assert miss.verification["ok"]
+            assert len(parsed) == 2
+            hit = sched.submit(matrix, "compact", verify=True)
+            hit.result(60.0)
+            assert hit.cache_status == "hit"
+            assert hit.verification["ok"]
+            assert len(parsed) == 4
+
     def test_nj_and_custom_runner_payloads_are_exempt(self, matrix):
         with Scheduler(
             workers=1, backend="process", runner=scripted_runner

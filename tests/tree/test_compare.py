@@ -1,5 +1,7 @@
 """Tests for tree comparison metrics."""
 
+import random
+
 import pytest
 
 from repro.bnb.sequential import exact_mut
@@ -11,6 +13,7 @@ from repro.matrix.generators import (
     random_ultrametric_matrix,
 )
 from repro.tree.compare import (
+    clade_sets,
     clades,
     cophenetic_correlation,
     normalized_robinson_foulds,
@@ -18,6 +21,7 @@ from repro.tree.compare import (
     shared_clades,
 )
 from repro.tree.ultrametric import TreeNode, UltrametricTree
+from tests.tree.random_trees import random_tree
 
 
 def tree_from_nesting(spec, height=1.0):
@@ -46,6 +50,34 @@ class TestClades:
         # n-leaf rooted binary tree has n-2 non-trivial clades.
         t = upgmm(random_metric_matrix(8, seed=1))
         assert len(clades(t)) == 6
+
+    @pytest.mark.parametrize("max_arity", [2, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clade_sets_match_subtree_walks(self, seed, max_arity):
+        # Reference: walk the whole subtree under every internal node.
+        tree = random_tree(random.Random(seed), 1 + seed * 3, max_arity)
+        expected = [
+            (node, frozenset(leaf.label for leaf in node.leaves()))
+            for node in tree.root.walk()
+            if node.children
+        ]
+        found = clade_sets(tree.root)
+        assert [node for node, _ in found] == [node for node, _ in expected]
+        assert [members for _, members in found] == [
+            members for _, members in expected
+        ]
+        n = tree.n_leaves
+        assert clades(tree) == {
+            members for _, members in expected if 1 < len(members) < n
+        }
+
+    def test_unary_node_repeats_its_child_clade(self):
+        inner = TreeNode(1.0, [TreeNode(label="a"), TreeNode(label="b")])
+        chain = TreeNode(2.0, [inner])
+        tree = UltrametricTree(TreeNode(3.0, [chain, TreeNode(label="c")]))
+        found = clade_sets(tree.root)
+        assert [node for node, _ in found] == [tree.root, chain, inner]
+        assert found[1][1] == found[2][1] == frozenset({"a", "b"})
 
 
 class TestRobinsonFoulds:

@@ -1,8 +1,11 @@
 """Tests for the UltrametricTree data structure."""
 
+import random
+
 import pytest
 
 from repro.tree.ultrametric import TreeNode, UltrametricTree
+from tests.tree.random_trees import random_tree
 
 
 def build_caterpillar():
@@ -85,6 +88,27 @@ class TestQueries:
         t = build_caterpillar()
         m = t.distance_matrix()
         assert set(m.labels) == {"a", "b", "c"}
+
+    @pytest.mark.parametrize("max_arity", [2, 4])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_distance_matrix_matches_pairwise_lca(self, seed, max_arity):
+        # Reference: one LCA query per pair; absent labels and the
+        # diagonal read 0.  Shuffled orders and subsets exercise the
+        # gather from leaf order.
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(1, 18), max_arity)
+        everyone = tree.leaf_labels
+        rng.shuffle(everyone)
+        subset = everyone[: rng.randint(0, len(everyone))] + ["absent", "gone"]
+        rng.shuffle(subset)
+        for labels in (None, everyone, subset):
+            matrix = tree.distance_matrix(labels)
+            names = matrix.labels
+            for i, a in enumerate(names):
+                for j, b in enumerate(names):
+                    known = tree.has_leaf(a) and tree.has_leaf(b)
+                    expected = tree.distance(a, b) if known else 0.0
+                    assert matrix.values[i, j] == expected, (a, b)
 
 
 class TestCopy:
