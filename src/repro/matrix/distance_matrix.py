@@ -39,11 +39,10 @@ class DistanceMatrix:
     values:
         Square array-like of distances.  Copied, stored as ``float64`` and
         frozen: the stored array is marked read-only, so the matrix is
-        immutable after construction.  Several caches key off matrix
-        identity (``bnb.bounds.search_context``,
-        ``matrix.maxmin.apply_maxmin``) and would silently serve stale
-        results if entries could change in place; any attempted write to
-        :attr:`values` raises instead.
+        immutable after construction.  :meth:`digest` is memoised and
+        content-addressed result caches key on it, so a matrix whose
+        entries changed in place would be served a stale result; any
+        attempted write to :attr:`values` raises instead.
     labels:
         Optional species names; defaults to ``"s0", "s1", ...``.
     validate:
@@ -68,7 +67,7 @@ class DistanceMatrix:
             raise MatrixValidationError(
                 f"distance matrix must be square, got shape {array.shape}"
             )
-        # Freeze: identity-keyed caches depend on the values never
+        # Freeze: the memoised digest depends on the values never
         # changing after construction.
         array.setflags(write=False)
         self._values = array
@@ -134,7 +133,7 @@ class DistanceMatrix:
             self._values, other._values
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - identity hash, see caches
+    def __hash__(self) -> int:  # pragma: no cover - identity hash
         return id(self)
 
     def __repr__(self) -> str:

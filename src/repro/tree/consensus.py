@@ -83,7 +83,10 @@ def majority_consensus(
         if fraction > threshold - 1e-12 and fraction >= 0.5
     ]
     # Strictly-majority clades are laminar; sort big-to-small and nest.
-    kept.sort(key=len, reverse=True)
+    # Same-size clades are disjoint: order them by their first leaf in
+    # ``labels``, not by the hash order the clade sets came in.
+    position = {label: i for i, label in enumerate(labels)}
+    kept.sort(key=lambda clade: (-len(clade), min(map(position.get, clade))))
     heights = _average_clade_heights(trees, kept)
     root_height = sum(t.height() for t in trees) / len(trees)
 

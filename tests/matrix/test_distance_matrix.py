@@ -27,9 +27,8 @@ class TestConstruction:
         assert m[0, 1] == 1.0
 
     def test_stored_values_are_immutable(self):
-        # Identity-keyed caches (bnb.bounds.search_context,
-        # matrix.maxmin.apply_maxmin) assume a matrix never changes after
-        # construction; in-place writes must fail loudly.
+        # A matrix is a value: its digest is memoised and result caches
+        # key on it, so in-place writes must fail loudly.
         m = DistanceMatrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="read-only"):
             m.values[0, 1] = 99.0

@@ -1,6 +1,7 @@
 """Tests for max-min permutations."""
 
 import numpy as np
+import pytest
 
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.matrix.generators import random_metric_matrix
@@ -9,6 +10,29 @@ from repro.matrix.maxmin import (
     is_maxmin_permutation,
     maxmin_permutation,
 )
+from tests.differential_inputs import DIFFERENTIAL_MATRICES
+
+
+def numpy_maxmin_permutation(matrix):
+    """The NumPy max-min loop the row-list version replaced (reference)."""
+    n = matrix.n
+    if n == 0:
+        return []
+    if n == 1:
+        return [0]
+    v = matrix.values
+    first, second, _ = matrix.max_pair()
+    order = [first, second]
+    chosen = np.zeros(n, dtype=bool)
+    chosen[first] = chosen[second] = True
+    mins = np.minimum(v[:, first], v[:, second])
+    while len(order) < n:
+        masked = np.where(chosen, -np.inf, mins)
+        nxt = int(np.argmax(masked))
+        order.append(nxt)
+        chosen[nxt] = True
+        mins = np.minimum(mins, v[:, nxt])
+    return order
 
 
 class TestMaxminPermutation:
@@ -81,3 +105,35 @@ class TestIsMaxmin:
     def test_small_matrices_trivially_maxmin(self):
         assert is_maxmin_permutation(DistanceMatrix([[0.0]]))
         assert is_maxmin_permutation(DistanceMatrix([[0, 3], [3, 0]]))
+
+
+class TestMatchesNumpyReference:
+    @pytest.mark.parametrize(
+        "matrix",
+        [m for _, m in DIFFERENTIAL_MATRICES],
+        ids=[name for name, _ in DIFFERENTIAL_MATRICES],
+    )
+    def test_same_order(self, matrix):
+        assert maxmin_permutation(matrix) == numpy_maxmin_permutation(matrix)
+
+    def test_running_minima_read_columns(self):
+        # Symmetric only within tolerance: species 2 and 3 tie on rows
+        # but not on columns.  The column reading picks species 3.
+        eps = 1e-10
+        m = DistanceMatrix([
+            [0, 9, 4 + eps, 4],
+            [9, 0, 5, 5],
+            [4, 5, 0, 1],
+            [4 + eps, 5, 1, 0],
+        ])
+        assert numpy_maxmin_permutation(m) == [0, 1, 3, 2]
+        assert maxmin_permutation(m) == [0, 1, 3, 2]
+
+    def test_first_pair_is_first_maximum_in_row_major_order(self):
+        m = DistanceMatrix([
+            [0, 1, 7, 2],
+            [1, 0, 3, 7],
+            [7, 3, 0, 7],
+            [2, 7, 7, 0],
+        ])
+        assert maxmin_permutation(m)[:2] == [0, 2]

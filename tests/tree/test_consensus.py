@@ -1,7 +1,13 @@
 """Tests for majority-rule consensus trees."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.bnb.sequential import exact_mut
 from repro.matrix.generators import random_metric_matrix
 from repro.tree.compare import clades
@@ -99,3 +105,31 @@ class TestMajorityConsensus:
                 assert is_valid_ultrametric_tree(consensus, binary=False)
                 return
         pytest.skip("no multi-optimum instance found in the seed range")
+
+
+_CONSENSUS_SCRIPT = """
+from repro.bnb.sequential import exact_mut
+from repro.matrix.generators import random_metric_matrix
+from repro.tree.consensus import majority_consensus
+from repro.tree.newick import to_newick
+
+tree = exact_mut(random_metric_matrix(8, seed=3, integer=True)).tree
+print(to_newick(majority_consensus([tree])))
+"""
+
+
+def test_consensus_bytes_do_not_depend_on_hash_seed():
+    # Same-size clades come out of a set; their order in the consensus
+    # must not follow string hashing.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _CONSENSUS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+    assert len(outputs) == 1
