@@ -60,7 +60,9 @@ def enumerate_topologies(
         )
     if n < 2:
         raise ValueError("enumeration needs at least two species")
-    stack: List[PartialTopology] = [PartialTopology.initial(half_matrix(matrix))]
+    stack: List[PartialTopology] = [
+        PartialTopology.initial(half_matrix(matrix.values.tolist()))
+    ]
     while stack:
         topology = stack.pop()
         if topology.is_complete:

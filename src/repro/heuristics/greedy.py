@@ -47,7 +47,7 @@ def greedy_insertion(
             ordered.values[0, 1] / 2.0,
         )
 
-    topology = PartialTopology.initial(half_matrix(ordered))
+    topology = PartialTopology.initial(half_matrix(ordered.values.tolist()))
     while not topology.is_complete:
         best = None
         for position in range(len(topology.parent)):

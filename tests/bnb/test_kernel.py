@@ -51,7 +51,7 @@ MATRICES = [
 def walk_topologies(matrix, limit=30):
     """A bounded, deterministic sample of incomplete partial topologies."""
     seen = []
-    stack = [PartialTopology.initial(half_matrix(matrix))]
+    stack = [PartialTopology.initial(half_matrix(matrix.values.tolist()))]
     while stack and len(seen) < limit:
         topo = stack.pop()
         if topo.is_complete:
@@ -67,7 +67,7 @@ class TestEvaluateMatchesScalar:
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_exact_mode_bit_identical(self, index):
         matrix = MATRICES[index]
-        kernel = BranchKernel(half_matrix(matrix))
+        kernel = BranchKernel(half_matrix(matrix.values.tolist()))
         for topo in walk_topologies(matrix):
             evaluation = kernel.evaluate(topo, lower_tail=0.5)
             assert isinstance(evaluation, BranchEvaluation)
@@ -80,7 +80,7 @@ class TestEvaluateMatchesScalar:
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_child_via_tables_field_identical(self, index):
         matrix = MATRICES[index]
-        kernel = BranchKernel(half_matrix(matrix))
+        kernel = BranchKernel(half_matrix(matrix.values.tolist()))
         for topo in walk_topologies(matrix, limit=10):
             evaluation = kernel.evaluate(topo, lower_tail=0.25)
             for position in range(topo.num_positions()):
@@ -116,7 +116,7 @@ class TestThresholdScreening:
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_survivors_match_scalar(self, index):
         matrix = MATRICES[index]
-        kernel = BranchKernel(half_matrix(matrix))
+        kernel = BranchKernel(half_matrix(matrix.values.tolist()))
         lower_tail = 0.5
         for topo in walk_topologies(matrix, limit=8):
             for threshold in self.thresholds_for(topo, lower_tail):
@@ -139,7 +139,7 @@ class TestThresholdScreening:
         """A threshold above every cost keeps all lanes; the per-lane
         Python walk must then reproduce the vectorised exact mode."""
         matrix = MATRICES[index]
-        kernel = BranchKernel(half_matrix(matrix))
+        kernel = BranchKernel(half_matrix(matrix.values.tolist()))
         for topo in walk_topologies(matrix, limit=8):
             exact = kernel.evaluate(topo, lower_tail=0.5)
             generous = float(np.max(exact.lower_bounds)) + 1.0
@@ -153,8 +153,8 @@ class TestThresholdScreening:
 
     def test_screened_out_lanes_report_inf(self):
         matrix = MATRICES[0]
-        kernel = BranchKernel(half_matrix(matrix))
-        topo = PartialTopology.initial(half_matrix(matrix))
+        kernel = BranchKernel(half_matrix(matrix.values.tolist()))
+        topo = PartialTopology.initial(half_matrix(matrix.values.tolist()))
         evaluation = kernel.evaluate(topo, 0.0, threshold=-1.0)
         assert np.isinf(evaluation.costs).all()
         assert np.isinf(evaluation.lower_bounds).all()
@@ -218,7 +218,7 @@ class TestOversizedFallback:
         ]
 
     def test_supported_flag(self):
-        assert BranchKernel(half_matrix(MATRICES[0])).supported
+        assert BranchKernel(half_matrix(MATRICES[0].values.tolist())).supported
         kernel = BranchKernel(self.oversized())
         assert not kernel.supported
 

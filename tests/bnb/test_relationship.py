@@ -19,7 +19,7 @@ def matrix_ab_close():
 
 def topologies_for_third_species(matrix):
     """All three placements of species 2 into the initial topology."""
-    root = PartialTopology.initial(half_matrix(matrix))
+    root = PartialTopology.initial(half_matrix(matrix.values.tolist()))
     return [root.child(pos) for pos in range(3)]
 
 
@@ -77,7 +77,7 @@ class TestInsertionConsistency:
     def test_generalized_checks_all_pairs(self):
         m = random_ultrametric_matrix(6, seed=3)
         values = [list(row) for row in m.values]
-        root = PartialTopology.initial(half_matrix(m))
+        root = PartialTopology.initial(half_matrix(m.values.tolist()))
         # Grow a full tree; on ultrametric input the optimal (UPGMM-like)
         # insertions pass, but at least one wrong graft must fail.
         level = [root]

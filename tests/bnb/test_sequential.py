@@ -17,7 +17,7 @@ from repro.tree.checks import dominates_matrix, is_valid_ultrametric_tree
 
 def brute_force_optimum(matrix):
     best = float("inf")
-    stack = [PartialTopology.initial(half_matrix(matrix))]
+    stack = [PartialTopology.initial(half_matrix(matrix.values.tolist()))]
     while stack:
         t = stack.pop()
         if t.is_complete:
@@ -133,7 +133,7 @@ class TestOptions:
         m = random_metric_matrix(6, seed=29)
         result = exact_mut(m, collect_all=True)
         best = brute_force_optimum(m)
-        stack = [PartialTopology.initial(half_matrix(m))]
+        stack = [PartialTopology.initial(half_matrix(m.values.tolist()))]
         count = 0
         signatures = set()
         while stack:

@@ -62,7 +62,7 @@ class TestStartMethodEquality:
 class TestExactTransport:
     def test_payload_roundtrip_bit_exact(self):
         ordered, _ = apply_maxmin(random_metric_matrix(9, seed=1, integer=False))
-        half, tails = search_context(ordered)
+        half, tails = search_context(ordered.values.tolist())
         topo = PartialTopology.initial(half)
         while not topo.is_complete:
             topo = topo.child(0, tails[min(topo.next_species + 1, len(tails) - 1)])

@@ -122,7 +122,7 @@ class TestBnbProperties:
     @given(metric_matrices(max_n=6))
     def test_bnb_optimal_vs_exhaustive(self, matrix):
         best = float("inf")
-        stack = [PartialTopology.initial(half_matrix(matrix))]
+        stack = [PartialTopology.initial(half_matrix(matrix.values.tolist()))]
         while stack:
             t = stack.pop()
             if t.is_complete:
@@ -138,8 +138,8 @@ class TestBnbProperties:
     @given(metric_matrices(max_n=6), st.sampled_from(sorted(LOWER_BOUNDS)))
     def test_lower_bound_admissible_at_root(self, matrix, bound):
         ordered, _ = apply_maxmin(matrix)
-        tails = LOWER_BOUNDS[bound](ordered)
-        root = PartialTopology.initial(half_matrix(ordered))
+        tails = LOWER_BOUNDS[bound](ordered.values.tolist())
+        root = PartialTopology.initial(half_matrix(ordered.values.tolist()))
         assert root.cost + tails[2] <= exact_mut(matrix).cost + 1e-9
 
 
