@@ -10,7 +10,7 @@ smaller than the input.
 
 Independent subproblems can solve concurrently: sibling compact sets
 share no species, so their reduced matrices are disjoint and the
-``subproblem_workers`` thread pool fans the recursion out across them
+``subproblem_workers`` thread pool fans the descent out across them
 (threads, not processes -- the branch kernel's numpy work releases the
 GIL, and the multiprocess engine already covers process-level scaling).
 """
@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ContextManager, Dict, List, Optional, Tuple
 
 from repro.bnb.sequential import BranchAndBoundSolver, SearchStats
 from repro.core.merge import merge_group_tree
 from repro.core.reduction import REDUCTIONS, reduce_matrix
+from repro.graph.compact_linear import kruskal_hierarchy
 from repro.graph.hierarchy import CompactSetHierarchy, HierarchyNode
 from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
@@ -196,7 +198,12 @@ class CompactSetTreeBuilder:
             solver=self.solver,
         ) as build_span:
             with rec.span("pipeline.discover", n=matrix.n):
-                hierarchy = CompactSetHierarchy.from_matrix(matrix)
+                # The Kruskal pass also builds every node's maximum-
+                # reduced matrix, so pipeline.reduce only wraps it.
+                root, _ = kruskal_hierarchy(
+                    matrix, reduce=self.reduction == "maximum"
+                )
+                hierarchy = CompactSetHierarchy(root, matrix.n)
             if matrix.n == 1:
                 tree = UltrametricTree.leaf(matrix.labels[0])
                 reports: List[SubproblemReport] = []
@@ -229,78 +236,110 @@ class CompactSetTreeBuilder:
         matrix: DistanceMatrix,
         node: HierarchyNode,
     ) -> Tuple[UltrametricTree, List[SubproblemReport]]:
-        """Solve one hierarchy node; returns the subtree plus its reports.
+        """Solve one internal hierarchy node; returns the subtree plus its
+        reports.
 
         Reports come back in deterministic pre-order -- this node's own
         reduced matrix first, then each placeholder child's reports in
         label order -- regardless of how many worker threads solved the
         children, so ``CompactResult.reports`` never depends on thread
         scheduling.
-        """
-        if node.size == 1:
-            (member,) = node.members
-            return UltrametricTree.leaf(matrix.labels[member]), []
-        if node.arity == 1:  # defensive; laminar construction avoids this
-            return self._solve_node(matrix, node.children[0])
 
+        The descent is an explicit stack of open nodes, not recursion,
+        so a hierarchy nested a thousand levels deep solves within the
+        interpreter's recursion limit.  Each open node holds its
+        ``pipeline.node`` span; its children's spans open and close
+        inside it, in the order a recursive descent would give.
+        """
+        stack: List[_OpenNode] = []
+        try:
+            stack.append(self._open_node(matrix, node))
+            while stack:
+                top = stack[-1]
+                child = top.next_child()
+                if child is None:
+                    with self.recorder.span("pipeline.merge", size=top.node.size):
+                        tree = merge_group_tree(top.group_tree, top.subtrees)
+                    stack.pop()
+                    top.span.__exit__(None, None, None)
+                    if stack:
+                        stack[-1].absorb(tree, top.reports)
+                elif self.subproblem_workers > 1 and len(top.children) > 1:
+                    self._solve_children_pooled(matrix, top)
+                else:
+                    stack.append(self._open_node(matrix, child))
+        except BaseException:
+            error = sys.exc_info()
+            while stack:
+                stack.pop().span.__exit__(*error)
+            raise
+        return tree, top.reports
+
+    def _open_node(
+        self, matrix: DistanceMatrix, node: HierarchyNode
+    ) -> "_OpenNode":
+        """Open ``node``'s span, then reduce and solve its own matrix.
+
+        Placeholder names for the compound children are minted here, so
+        a sequential descent numbers them in pre-order.
+        """
         rec = self.recorder
-        with rec.span("pipeline.node", size=node.size, arity=node.arity):
-            children = sorted(node.children, key=lambda c: min(c.members))
-            groups = [sorted(child.members) for child in children]
+        span = rec.span("pipeline.node", size=node.size, arity=node.arity)
+        span.__enter__()
+        try:
             labels: List[str] = []
-            placeholders: Dict[str, HierarchyNode] = {}
-            for child in children:
+            compound: List[Tuple[str, HierarchyNode]] = []
+            for child in node.children:
                 if child.size == 1:
                     (member,) = child.members
                     labels.append(matrix.labels[member])
                 else:
                     name = f"__cs{next(self._placeholder_ids)}__"
                     labels.append(name)
-                    placeholders[name] = child
-            with rec.span("pipeline.reduce", size=len(groups)):
-                reduced = reduce_matrix(
-                    matrix, groups, labels, mode=self.reduction
-                )
-
+                    compound.append((name, child))
+            with rec.span("pipeline.reduce", size=node.arity):
+                if node.reduced is not None:  # built for "maximum" only
+                    reduced = DistanceMatrix(node.reduced, labels, validate=False)
+                else:
+                    groups = [sorted(child.members) for child in node.children]
+                    reduced = reduce_matrix(
+                        matrix, groups, labels, mode=self.reduction
+                    )
             group_tree, report = self._solve_matrix(
                 reduced, tuple(sorted(node.members))
             )
-            reports = [report]
+        except BaseException:
+            span.__exit__(*sys.exc_info())
+            raise
+        return _OpenNode(node, span, group_tree, [report], compound)
 
-            names = list(placeholders)
-            if self.subproblem_workers > 1 and len(names) > 1:
-                # Sibling compact sets are disjoint, so their subtrees
-                # solve independently.  A fresh pool per node (rather
-                # than one shared bounded pool) means a recursive
-                # _solve_node call inside a worker can never deadlock
-                # waiting on its own pool's slots.  Each submission runs
-                # in its own copy of the ambient context (a Context can
-                # only be entered by one thread at a time), which keeps
-                # the trace id visible in pool threads.
-                workers = min(self.subproblem_workers, len(names))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            contextvars.copy_context().run,
-                            self._solve_node,
-                            matrix,
-                            placeholders[name],
-                        )
-                        for name in names
-                    ]
-                    solved = [future.result() for future in futures]
-            else:
-                solved = [
-                    self._solve_node(matrix, placeholders[name])
-                    for name in names
-                ]
+    def _solve_children_pooled(
+        self, matrix: DistanceMatrix, top: "_OpenNode"
+    ) -> None:
+        """Solve every placeholder child of ``top`` on a thread pool.
 
-            subtrees: Dict[str, UltrametricTree] = {}
-            for name, (subtree, sub_reports) in zip(names, solved):
-                subtrees[name] = subtree
-                reports.extend(sub_reports)
-            with rec.span("pipeline.merge", size=node.size):
-                return merge_group_tree(group_tree, subtrees), reports
+        Sibling compact sets are disjoint, so their subtrees solve
+        independently.  A fresh pool per node (rather than one shared
+        bounded pool) means a descent inside a worker can never deadlock
+        waiting on its own pool's slots.  Each submission runs in its
+        own copy of the ambient context (a Context can only be entered
+        by one thread at a time), which keeps the trace id visible in
+        pool threads.
+        """
+        workers = min(self.subproblem_workers, len(top.children))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(
+                    contextvars.copy_context().run,
+                    self._solve_node,
+                    matrix,
+                    child,
+                )
+                for _, child in top.children
+            ]
+            solved = [future.result() for future in futures]
+        for subtree, sub_reports in solved:
+            top.absorb(subtree, sub_reports)
 
     def _solve_matrix(
         self, reduced: DistanceMatrix, members: Tuple[int, ...]
@@ -355,3 +394,30 @@ class CompactSetTreeBuilder:
             stats=stats,
         )
         return tree, report
+
+
+@dataclass
+class _OpenNode:
+    """A hierarchy node whose own matrix is solved and whose span is open,
+    waiting for its placeholder children before the merge."""
+
+    node: HierarchyNode
+    span: ContextManager
+    group_tree: UltrametricTree
+    reports: List[SubproblemReport]
+    #: ``(placeholder name, compound child)``, in label order.
+    children: List[Tuple[str, HierarchyNode]]
+    subtrees: Dict[str, UltrametricTree] = field(default_factory=dict)
+
+    def next_child(self) -> Optional[HierarchyNode]:
+        """The first placeholder child not yet solved, if any."""
+        if len(self.subtrees) < len(self.children):
+            return self.children[len(self.subtrees)][1]
+        return None
+
+    def absorb(
+        self, subtree: UltrametricTree, reports: List[SubproblemReport]
+    ) -> None:
+        """Take the next placeholder child's solved subtree."""
+        self.subtrees[self.children[len(self.subtrees)][0]] = subtree
+        self.reports.extend(reports)

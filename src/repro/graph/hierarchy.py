@@ -10,7 +10,9 @@ and the pipeline solves those matrices independently before merging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, List, Sequence
+from typing import FrozenSet, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.graph.compact_sets import find_compact_sets
 from repro.matrix.distance_matrix import DistanceMatrix
@@ -23,11 +25,17 @@ class HierarchyNode:
     """One node of the compact-set hierarchy.
 
     ``members`` is the vertex set the node covers; ``children`` partition
-    it.  Leaves are singletons.
+    it, ordered by smallest member.  Leaves are singletons.  ``reduced``
+    is the node's ``maximum``-reduced matrix (one row per child, in child
+    order) when :func:`repro.graph.compact_linear.kruskal_hierarchy` was
+    asked for it, else ``None``.
     """
 
     members: FrozenSet[int]
     children: List["HierarchyNode"] = field(default_factory=list)
+    reduced: Optional[np.ndarray] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def is_leaf(self) -> bool:
@@ -43,10 +51,16 @@ class HierarchyNode:
         return len(self.children)
 
     def walk(self) -> Iterator["HierarchyNode"]:
-        """Pre-order traversal of the subtree rooted here."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Pre-order traversal of the subtree rooted here.
+
+        Iterative, so a deeply nested hierarchy (one compact set per
+        level) does not hit the interpreter's recursion limit.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"{self.arity} children"
@@ -73,21 +87,20 @@ class CompactSetHierarchy:
         """Build the hierarchy of all compact sets of ``matrix``.
 
         ``algorithm`` selects the discovery routine: ``"fast"`` (the
-        O(n^2) method of :mod:`repro.graph.compact_linear`, default) or
-        ``"scan"`` (the paper's literal re-scanning algorithm).  Both
-        return the same family.
+        one-pass O(n^2) method of :mod:`repro.graph.compact_linear`,
+        default) or ``"scan"`` (the paper's literal re-scanning
+        algorithm, arranged by :meth:`from_sets`).  Both return the same
+        tree.
         """
         if algorithm == "fast":
-            from repro.graph.compact_linear import find_compact_sets_fast
+            from repro.graph.compact_linear import kruskal_hierarchy
 
-            sets = find_compact_sets_fast(matrix)
-        elif algorithm == "scan":
-            sets = find_compact_sets(matrix)
-        else:
+            return cls(kruskal_hierarchy(matrix)[0], matrix.n)
+        if algorithm != "scan":
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; choose 'fast' or 'scan'"
             )
-        return cls.from_sets(sets, matrix.n)
+        return cls.from_sets(find_compact_sets(matrix), matrix.n)
 
     @classmethod
     def from_sets(
@@ -175,13 +188,13 @@ class CompactSetHierarchy:
 
     def depth(self) -> int:
         """Longest root-to-leaf path length (edges)."""
-
-        def node_depth(node: HierarchyNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(node_depth(c) for c in node.children)
-
-        return node_depth(self.root)
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            deepest = max(deepest, depth)
+            stack.extend((child, depth + 1) for child in node.children)
+        return deepest
 
     def __repr__(self) -> str:
         return (

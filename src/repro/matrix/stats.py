@@ -128,11 +128,11 @@ def matrix_summary(matrix: DistanceMatrix) -> MatrixSummary:
         )
     iu = np.triu_indices(n, k=1)
     off_diagonal = matrix.values[iu]
-    from repro.graph.compact_linear import find_compact_sets_fast
+    from repro.graph.compact_linear import kruskal_hierarchy
     from repro.graph.hierarchy import CompactSetHierarchy
 
-    compact = find_compact_sets_fast(matrix)
-    hierarchy = CompactSetHierarchy.from_sets(compact, n)
+    root, compact = kruskal_hierarchy(matrix)
+    hierarchy = CompactSetHierarchy(root, n)
     largest = hierarchy.max_subproblem_size()
     return MatrixSummary(
         n=n,

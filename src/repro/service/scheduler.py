@@ -153,10 +153,11 @@ def solve_payload(
 def _process_job_task(runner: Callable, task: tuple) -> dict:
     """Execute one job inside a worker process (the slot-side runner).
 
-    ``task`` is the picklable tuple the parent ships: plain-float matrix
-    rows and labels (floats survive pickling bit-exactly, so the child's
-    cache key and costs match the parent's), the method/options, the
-    originating request's ``trace_id``, and whether to collect events.
+    ``task`` is the picklable tuple the parent ships: the matrix's
+    frozen ``float64`` array and its labels (an array pickles as one
+    buffer, bit-exactly, so the child's cache key and costs match the
+    parent's), the method/options, the originating request's
+    ``trace_id``, and whether to collect events.
 
     The child runs ``runner`` under a fresh :class:`Recorder` and a
     :class:`ForwardingMetricsRegistry` temporarily installed as the
@@ -233,6 +234,7 @@ class Scheduler:
     metrics:
         :class:`repro.obs.metrics.MetricsRegistry` for the always-on
         aggregates -- ``service.job.seconds`` latency histogram,
+        ``service.queue_wait.seconds`` histogram (submission to start),
         ``service.queue.depth`` / ``service.inflight`` gauges (computed
         at scrape time), cache and queue counters.  Defaults to the
         process-wide registry, so metrics are live even when tracing is
@@ -312,6 +314,11 @@ class Scheduler:
             "service.job.seconds",
             "End-to-end job execution latency, per method and cache outcome.",
             labelnames=("method", "cache"),
+        )
+        self._m_queue_wait = m.histogram(
+            "service.queue_wait.seconds",
+            "Time a job waited between submission and a worker starting it.",
+            labelnames=("method",),
         )
         self._m_cache_hit = m.counter(
             "cache.hit", "Content-addressed result-cache hits."
@@ -539,6 +546,9 @@ class Scheduler:
             # while queued; reconcile statistics for whichever it was.
             self._settle(job, _STATE_STAT.get(job.state, "cancelled"))
             return
+        self._m_queue_wait.observe(
+            max(0.0, job.started_at - job.submitted_at), method=job.method
+        )
         cache_status = "error"
         t0 = time.perf_counter()
         try:
@@ -630,7 +640,7 @@ class Scheduler:
         and its metric mutations replayed into the parent registry.
         """
         task = (
-            job.matrix.values.tolist(),
+            job.matrix.values,
             list(job.matrix.labels),
             job.method,
             dict(job.options),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bnb.sequential import exact_mut
+from repro.core.api import construct_tree
 from repro.core.pipeline import CompactSetTreeBuilder
 from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
@@ -15,6 +16,27 @@ from repro.matrix.generators import (
 from repro.obs import Recorder
 from repro.parallel.config import ClusterConfig
 from repro.tree.checks import dominates_matrix, is_valid_ultrametric_tree
+from repro.verify.oracles import run_oracles
+from tests.differential_inputs import nested_chain
+
+
+_NODE_SPANS = (
+    "pipeline.node", "pipeline.reduce", "pipeline.solve", "pipeline.merge",
+)
+
+
+def _assert_node_children_in_order(spans):
+    """Each node span's own children are reduce, solve, nodes..., merge."""
+    by_parent = {}
+    for span in spans:
+        by_parent.setdefault(span.parent, []).append(span)
+    for span in spans:
+        if span.name != "pipeline.node":
+            continue
+        names = [c.name for c in sorted(by_parent[span.id], key=lambda c: c.id)]
+        assert names[:2] == ["pipeline.reduce", "pipeline.solve"]
+        assert names[-1] == "pipeline.merge"
+        assert set(names[2:-1]) <= {"pipeline.node"}
 
 
 class TestBuild:
@@ -152,6 +174,28 @@ class TestObservability:
         assert span_total == pytest.approx(report_total)
         assert span_total <= result.elapsed_seconds
 
+    def test_span_order_is_a_recursive_descent(self):
+        """The explicit-stack descent opens and closes spans exactly as a
+        recursive one would: node, reduce, solve, each compound child's
+        node in label order, then merge -- all parented to the node."""
+        recorder = Recorder()
+        m = hierarchical_matrix([[[2, 3], 2], [4, [2, 2]]], seed=3)
+        result = CompactSetTreeBuilder(recorder=recorder).build(m)
+
+        def expected(node):
+            names = ["pipeline.node", "pipeline.reduce", "pipeline.solve"]
+            for child in node.children:
+                if not child.is_leaf:
+                    names += expected(child)
+            return names + ["pipeline.merge"]
+
+        spans = sorted(
+            (s for s in recorder.spans() if s.name in _NODE_SPANS),
+            key=lambda s: s.id,
+        )
+        assert [s.name for s in spans] == expected(result.hierarchy.root)
+        _assert_node_children_in_order(spans)
+
     def test_recorder_does_not_change_result(self):
         m = clustered_matrix([3, 3], seed=4)
         plain = CompactSetTreeBuilder().build(m)
@@ -256,6 +300,40 @@ class TestSubproblemWorkers:
         # Still exactly one solve span per report, even when siblings
         # solved concurrently on worker threads.
         assert len(recorder.spans("pipeline.solve")) == len(result.reports)
+        spans = [s for s in recorder.spans() if s.name in _NODE_SPANS]
+        _assert_node_children_in_order(spans)
+
+
+class TestDeepHierarchy:
+    """One compact set per level: 1199 nested nodes at n = 1200."""
+
+    def test_compact_solves_a_1200_level_chain(self):
+        m = nested_chain(1200)
+        result = construct_tree(m, "compact")
+        assert result.details.hierarchy.depth() == 1199
+        assert len(result.details.reports) == 1199
+        assert run_oracles(
+            result.tree, m, reported_cost=result.cost, method="compact"
+        ) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_chain_keeps_span_nesting(self, workers):
+        recorder = Recorder()
+        m = nested_chain(400)
+        result = CompactSetTreeBuilder(
+            recorder=recorder, subproblem_workers=workers
+        ).build(m)
+        nodes = recorder.spans("pipeline.node")
+        assert len(nodes) == 399
+        # Each level's node span is the parent of the next level's.
+        by_id = {s.id: s for s in nodes}
+        deepest = max(nodes, key=lambda s: s.id)
+        depth = 0
+        while deepest.parent in by_id:
+            deepest = by_id[deepest.parent]
+            depth += 1
+        assert depth == 398
+        assert [r.size for r in result.reports] == [2] * 399
 
 
 class TestAggregateSearchStats:

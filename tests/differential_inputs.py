@@ -6,6 +6,9 @@ differently: integer distances, heavy ties (values 1..3), an all-zero
 matrix, continuous distances, and matrices that are symmetric only
 within the validation tolerance (``M[i, j] != M[j, i]`` by < 1e-9), at
 2-10 species and at 20, 35 and 51.
+
+:func:`nested_chain` is the deepest compact-set hierarchy there is: one
+compact set per size, ``{0, 1} < {0, 1, 2} < ...``.
 """
 
 import numpy as np
@@ -19,6 +22,14 @@ def _near_symmetric(n, seed):
     noise = np.random.default_rng(seed).uniform(-4e-10, 4e-10, size=(n, n))
     np.fill_diagonal(noise, 0.0)
     return DistanceMatrix(base + noise)
+
+
+def nested_chain(n):
+    """``M[i, j] = max(i, j) + 1``: its hierarchy is ``n - 1`` levels deep."""
+    index = np.arange(n)
+    values = np.maximum.outer(index, index) + 1.0
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix(values)
 
 
 def _families():

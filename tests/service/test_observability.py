@@ -72,6 +72,14 @@ class TestMetricsEndpoint:
         assert 'service_job_seconds_count{method="upgmm",cache="miss"} 1' in text
         assert 'service_job_seconds_sum{method="upgmm",cache="miss"}' in text
 
+    def test_queue_wait_histogram_rendered(self, client, matrix):
+        client.solve(matrix, method="upgmm")   # miss
+        client.solve(matrix, method="upgmm")   # a hit still queues
+        text = client.metrics()
+        assert "# TYPE service_queue_wait_seconds histogram" in text
+        assert 'service_queue_wait_seconds_count{method="upgmm"} 2' in text
+        assert 'service_queue_wait_seconds_bucket{method="upgmm",le="+Inf"} 2' in text
+
     def test_metrics_always_on_without_trace_out(self, client, matrix):
         """No --trace-out, no explicit wiring: metrics still record."""
         client.solve(matrix, method="upgmm")

@@ -126,6 +126,36 @@ class TestAdmissionControl:
             sched.shutdown()
 
 
+class TestQueueWaitMetric:
+    def test_wait_behind_a_running_job_is_observed(self, matrix):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        gate = threading.Event()
+        started = threading.Event()
+        sched = Scheduler(
+            workers=1, metrics=registry, runner=blocking_runner(gate, started)
+        )
+        try:
+            running = sched.submit(matrix, "upgmm", {"tag": 0})
+            assert started.wait(10.0)
+            queued = sched.submit(matrix, "upgmm", {"tag": 1})
+            time.sleep(0.2)
+            gate.set()
+            running.result(10.0)
+            queued.result(10.0)
+        finally:
+            gate.set()
+            sched.shutdown()
+        (series,) = registry.snapshot()["service.queue_wait.seconds"]["series"]
+        assert series["labels"] == {"method": "upgmm"}
+        assert series["count"] == 2
+        # The second job waited for the whole gated run of the first.
+        waited = queued.started_at - queued.submitted_at
+        assert waited >= 0.15
+        assert series["sum"] >= waited
+
+
 class TestDeduplication:
     def test_identical_inflight_submissions_share_a_job(self, matrix):
         gate = threading.Event()
