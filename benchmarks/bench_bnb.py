@@ -25,9 +25,24 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_bnb.py --out path.json
     PYTHONPATH=src python benchmarks/bench_bnb.py --db campaigns.sqlite
 
-The acceptance gate for the branching overhaul is a >= 5x speedup on the
-26-species full solve; ``acceptance.speedup_26`` records the measured
-value (absent in ``--smoke`` mode, which caps every workload).
+Each workload runs three interleaved kernel/scalar pairs (one with
+``--smoke``; the side that goes first alternates); the report keeps every run and its
+median, minimum and maximum.  The acceptance gate for the branching
+overhaul is a >= 5x speedup (ratio of medians) on the 26-species full
+solve; ``acceptance.speedup_26`` records the measured value (absent in
+``--smoke`` mode, which caps every workload).
+
+The ``crossover`` sweep times direct ``bnb`` with the kernel forced on
+at every size against the scalar loop, at 3-16 species on
+``random_metric_matrix`` and ``hierarchical_matrix`` batteries, with
+the two sides interleaved.  It reports each side's median and
+quartiles and the scalar/kernel time ratio per size, and the smallest
+size from which the kernel wins on both families.  Engines build the
+kernel only from :data:`repro.bnb.search._KERNEL_MIN_SPECIES` species,
+set from this table.  The sweep also asserts that the two paths agree
+bit for bit at every size -- cost, Newick and every ``SearchStats``
+field -- so ``--smoke`` (a short sweep) keeps the kernel checked below
+the crossover, where the engines no longer run it.
 
 The report also measures the cost of *live progress telemetry*
 (``progress_overhead``): the first workload is re-solved with a
@@ -45,14 +60,22 @@ engine versions.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
 
+from repro.bnb import search
+from repro.bnb.search import SearchStats
 from repro.bnb.sequential import exact_mut
-from repro.matrix.generators import hierarchical_matrix
+from repro.matrix.generators import hierarchical_matrix, random_metric_matrix
+from repro.tree.newick import to_newick
+from repro.version import engine_fingerprint
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_bnb.json"
 
@@ -65,6 +88,147 @@ FULL_WORKLOADS = (
 SMOKE_WORKLOADS = (
     ("hmdna26-smoke", [[7, 6], [7, 6]], 126, 1500),
 )
+#: Interleaved kernel/scalar pairs per full workload.
+WORKLOAD_REPEATS = 3
+
+#: Crossover sweep: species counts, matrix seeds per family and size,
+#: and interleaved kernel/scalar pairs per size.
+SWEEP_SIZES = tuple(range(3, 17))
+SWEEP_SEEDS = tuple(range(8))
+SWEEP_REPEATS = 20
+SMOKE_SWEEP_SEEDS = tuple(range(2))
+SMOKE_SWEEP_REPEATS = 1
+
+
+def _hierarchical_spec(n):
+    """Two halves of ``n`` species, each split in two nested groups."""
+    halves = (n // 2, n - n // 2)
+    return [[size for size in ((h + 1) // 2, h // 2) if size] for h in halves]
+
+
+SWEEP_FAMILIES = {
+    "random_metric": lambda n, seed: random_metric_matrix(n, seed=seed),
+    "hierarchical": lambda n, seed: hierarchical_matrix(
+        _hierarchical_spec(n), seed=seed, jitter=0.3
+    ),
+}
+
+#: Every ``SearchStats`` field but the wall time.
+STATS_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SearchStats)
+    if f.name != "elapsed_seconds"
+)
+
+
+@contextlib.contextmanager
+def kernel_at_every_size():
+    """Let ``use_kernel=True`` build the kernel below the crossover too."""
+    saved = search._KERNEL_MIN_SPECIES
+    search._KERNEL_MIN_SPECIES = 0
+    try:
+        yield
+    finally:
+        search._KERNEL_MIN_SPECIES = saved
+
+
+def search_digest(result):
+    """What the kernel and scalar searches must agree on, bit for bit."""
+    return (
+        result.cost,
+        to_newick(result.tree),
+        tuple(getattr(result.stats, name) for name in STATS_FIELDS),
+    )
+
+
+def summary(samples):
+    """Median, quartiles, IQR, minimum and maximum of ``samples``."""
+    if len(samples) > 1:
+        q1, median, q3 = statistics.quantiles(
+            samples, n=4, method="inclusive"
+        )
+    else:
+        q1 = median = q3 = samples[0]
+    return {
+        "median": median,
+        "q1": q1,
+        "q3": q3,
+        "iqr": q3 - q1,
+        "min": min(samples),
+        "max": max(samples),
+    }
+
+
+def run_crossover(sizes, seeds, repeats) -> dict:
+    """Kernel-vs-scalar timing per size; raises if the paths disagree."""
+    rows = []
+    for n in sizes:
+        for family, make in SWEEP_FAMILIES.items():
+            matrices = [make(n, seed) for seed in seeds]
+            seconds = {True: [], False: []}
+            first = {}
+            for repeat in range(repeats):
+                for use_kernel in (True, False)[:: 1 if repeat % 2 else -1]:
+                    with kernel_at_every_size():
+                        t0 = time.perf_counter()
+                        results = [
+                            exact_mut(m, use_kernel=use_kernel)
+                            for m in matrices
+                        ]
+                        seconds[use_kernel].append(time.perf_counter() - t0)
+                    first.setdefault(use_kernel, results)
+            if list(map(search_digest, first[True])) != list(
+                map(search_digest, first[False])
+            ):
+                raise AssertionError(
+                    f"kernel and scalar searches differ at n={n} on {family}"
+                )
+            ratios = [
+                scalar / kernel
+                for kernel, scalar in zip(seconds[True], seconds[False])
+            ]
+            row = {
+                "n": n,
+                "family": family,
+                "matrices": len(matrices),
+                "repeats": repeats,
+                "nodes_expanded": sum(
+                    r.stats.nodes_expanded for r in first[True]
+                ),
+                "kernel_ms": summary([t * 1e3 for t in seconds[True]]),
+                "scalar_ms": summary([t * 1e3 for t in seconds[False]]),
+                "scalar_over_kernel": summary(ratios),
+            }
+            rows.append(row)
+            print(
+                f"crossover n={n:2d} {family:13s} "
+                f"kernel={row['kernel_ms']['median']:8.2f} ms  "
+                f"scalar={row['scalar_ms']['median']:8.2f} ms  "
+                f"scalar/kernel={row['scalar_over_kernel']['median']:5.2f} "
+                f"(IQR {row['scalar_over_kernel']['iqr']:.2f})"
+            )
+    # The smallest size from which the kernel's median time beats the
+    # scalar loop's on every family at every larger size too.
+    measured = None
+    for n in sorted(sizes, reverse=True):
+        if all(
+            row["scalar_over_kernel"]["median"] > 1.0
+            for row in rows if row["n"] == n
+        ):
+            measured = n
+        else:
+            break
+    print(
+        f"kernel wins from n={measured}; engines build it from "
+        f"n={search._KERNEL_MIN_SPECIES}"
+    )
+    return {
+        "sizes": list(sizes),
+        "seeds": list(seeds),
+        "repeats": repeats,
+        "measured_crossover": measured,
+        "kernel_min_species": search._KERNEL_MIN_SPECIES,
+        "rows": rows,
+    }
 
 
 def _timed_solve(matrix, *, use_kernel, node_limit):
@@ -112,30 +276,28 @@ def measure_progress_overhead(matrix, *, node_limit, repeats=3):
     }
 
 
-def run(workloads) -> dict:
+def run(workloads, repeats, sweep) -> dict:
     results = []
     for name, groups, seed, node_limit in workloads:
         matrix = hierarchical_matrix(groups, seed=seed, jitter=0.3)
-        fast_s, fast = _timed_solve(
-            matrix, use_kernel=True, node_limit=node_limit
-        )
-        ref_s, ref = _timed_solve(
-            matrix, use_kernel=False, node_limit=node_limit
-        )
+        seconds = {True: [], False: []}
+        solved = {}
+        for repeat in range(repeats):
+            for use_kernel in (True, False)[:: -1 if repeat % 2 else 1]:
+                elapsed, solved[use_kernel] = _timed_solve(
+                    matrix, use_kernel=use_kernel, node_limit=node_limit
+                )
+                seconds[use_kernel].append(elapsed)
+        fast, ref = solved[True], solved[False]
         # Bit-identical, not approximately equal: the kernel's contract
         # is that no search decision changes.
-        if fast.cost != ref.cost:
+        if search_digest(fast) != search_digest(ref):
             raise AssertionError(
-                f"cost mismatch on {name}: "
-                f"kernel={fast.cost!r} scalar={ref.cost!r}"
+                f"search divergence on {name}: "
+                f"kernel={search_digest(fast)!r} scalar={search_digest(ref)!r}"
             )
-        for stat in ("nodes_expanded", "nodes_created", "nodes_pruned"):
-            if getattr(fast.stats, stat) != getattr(ref.stats, stat):
-                raise AssertionError(
-                    f"search divergence on {name}: {stat} "
-                    f"kernel={getattr(fast.stats, stat)} "
-                    f"scalar={getattr(ref.stats, stat)}"
-                )
+        fast_s = statistics.median(seconds[True])
+        ref_s = statistics.median(seconds[False])
         row = {
             "workload": name,
             "n": matrix.n,
@@ -147,15 +309,20 @@ def run(workloads) -> dict:
             "prune_fraction": (
                 fast.stats.nodes_pruned / fast.stats.nodes_created
             ),
+            "repeats": repeats,
             "kernel_seconds": fast_s,
             "scalar_seconds": ref_s,
+            "kernel_runs": seconds[True],
+            "scalar_runs": seconds[False],
+            "kernel_spread": summary(seconds[True]),
+            "scalar_spread": summary(seconds[False]),
             "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
         }
         results.append(row)
         print(
             f"{name:16s} n={matrix.n:3d}  kernel={fast_s:8.3f} s  "
             f"scalar={ref_s:8.3f} s  speedup={row['speedup']:5.2f}x  "
-            f"expanded={fast.stats.nodes_expanded}"
+            f"expanded={fast.stats.nodes_expanded}  (medians of {repeats})"
         )
     first_name, first_groups, first_seed, first_limit = workloads[0]
     overhead = measure_progress_overhead(
@@ -173,8 +340,11 @@ def run(workloads) -> dict:
         "benchmark": "bnb-batched-branching-kernel",
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "engine": engine_fingerprint(),
         "results": results,
         "progress_overhead": overhead,
+        "crossover": run_crossover(*sweep),
     }
     by_name = {r["workload"]: r for r in results}
     if "hmdna26-full" in by_name:
@@ -196,7 +366,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one node-capped workload only (CI smoke mode)",
+        help="one node-capped workload and a short crossover sweep "
+             "(CI smoke mode)",
     )
     parser.add_argument(
         "--out",
@@ -211,8 +382,18 @@ def main(argv=None) -> int:
              "(repro-mut campaign trend charts them across versions)",
     )
     args = parser.parse_args(argv)
-    workloads = SMOKE_WORKLOADS if args.smoke else FULL_WORKLOADS
-    report = run(workloads)
+    if args.smoke:
+        report = run(
+            SMOKE_WORKLOADS,
+            1,
+            (SWEEP_SIZES, SMOKE_SWEEP_SEEDS, SMOKE_SWEEP_REPEATS),
+        )
+    else:
+        report = run(
+            FULL_WORKLOADS,
+            WORKLOAD_REPEATS,
+            (SWEEP_SIZES, SWEEP_SEEDS, SWEEP_REPEATS),
+        )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     if args.db:

@@ -54,6 +54,19 @@ back to the scalar loop.
 bound clears ``threshold``" for both the batched and the scalar path.
 Its one caller is :meth:`repro.bnb.search.SearchCore.expand`, the
 expansion step every exact engine runs, so the engines cannot drift.
+
+Which path runs
+---------------
+Both paths keep a position exactly when its lower bound, computed with
+the same float operations in the same order, does not exceed the
+threshold, and both emit the kept children in position order with the
+same fields (``child_via_tables`` against ``child``, pinned in
+``tests/bnb/test_kernel.py``).  So the choice of path changes no cost,
+tree or :class:`~repro.bnb.search.SearchStats` field, only speed, and
+:class:`~repro.bnb.search.SearchCore` picks by size: a search builds a
+kernel only from ``_KERNEL_MIN_SPECIES`` species, the measured point
+where the batched arrays start to beat the kernel's per-expansion NumPy
+dispatch.  The compact pipeline's subproblems are almost all below it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,13 @@ _EPS = 1e-9
 #: crossover with :func:`~repro.heuristics.upgma.upgmm`; see
 #: ``docs/algorithms.md``).
 _ROW_SEED_MAX_SPECIES = 16
+#: Smallest search that branches with the batched kernel.  Below it the
+#: scalar loop is faster: the kernel's NumPy dispatch per expansion
+#: outweighs the few positions it batches.  Both paths make
+#: bit-identical decisions.  Measured crossover: the ``crossover``
+#: table of ``BENCH_bnb.json`` (``benchmarks/bench_bnb.py``; see
+#: ``docs/algorithms.md``).
+_KERNEL_MIN_SPECIES = 9
 
 
 @dataclass
@@ -89,6 +96,13 @@ class SearchCore:
     Built once per solve (``matrix.n >= 3``).  Everything a worker needs
     to expand nodes is plain data, so the core pickles for ``spawn``
     worker processes.
+
+    ``use_kernel=True`` branches with the batched
+    :class:`~repro.bnb.kernel.BranchKernel` where it pays: searches of
+    at least ``_KERNEL_MIN_SPECIES`` species, up to the kernel's own
+    species limit.  Smaller searches, and every search with
+    ``use_kernel=False``, take the scalar path (:attr:`kernel` is
+    ``None``).  The two paths make bit-identical decisions.
     """
 
     def __init__(
@@ -116,7 +130,11 @@ class SearchCore:
         self.half, self.tails = search_context(rows, lower_bound)
         self.check_33 = relationship_33 or enforce_all_33
         self.enforce_all_33 = enforce_all_33
-        kernel = BranchKernel(self.half) if use_kernel else None
+        kernel = (
+            BranchKernel(self.half)
+            if use_kernel and self.n >= _KERNEL_MIN_SPECIES
+            else None
+        )
         # Oversized matrices fall back to the scalar path.
         self.kernel = kernel if kernel is not None and kernel.supported else None
         # The row-list seed's O(n^3) Python scans lose to the vectorised

@@ -27,7 +27,7 @@ from repro.bnb.topology import PartialTopology
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.obs.progress import ProgressTracker, current_progress
 from repro.obs.recorder import NullRecorder, as_recorder
-from repro.tree.ultrametric import UltrametricTree
+from repro.tree.ultrametric import TreeNode, UltrametricTree
 
 __all__ = ["SearchStats", "BBUResult", "BranchAndBoundSolver", "exact_mut"]
 
@@ -77,14 +77,16 @@ class BranchAndBoundSolver:
         far is returned with ``optimal=False``.
     use_kernel:
         Branch with the batched NumPy kernel
-        (:class:`repro.bnb.kernel.BranchKernel`): every insertion
-        position's cost and lower bound is evaluated as one array
-        operation and only survivors of the bound cut are materialised.
-        Decisions are bit-identical to the scalar path (the kernel
-        module documents the proof), so this is purely a speed knob;
-        ``False`` keeps the original per-child scalar loop, which also
-        serves as the differential-test reference.  Matrices beyond the
-        kernel's species limit fall back to the scalar path silently.
+        (:class:`repro.bnb.kernel.BranchKernel`) where it pays: every
+        insertion position's cost and lower bound is evaluated as one
+        array operation and only survivors of the bound cut are
+        materialised.  Searches below the measured crossover
+        (``repro.bnb.search._KERNEL_MIN_SPECIES`` species) and above
+        the kernel's species limit take the scalar path silently.
+        Decisions are bit-identical on both paths (the kernel module
+        documents the proof), so this is purely a speed knob; ``False``
+        forces the original per-child scalar loop everywhere, which also
+        serves as the differential-test reference.
     collect_all:
         Also gather *every* optimal tree (within ``1e-9`` of the optimum),
         mirroring the papers' "results set".
@@ -192,15 +194,20 @@ class BranchAndBoundSolver:
         if n <= 2:
             # A max-min order of two species is the identity.
             stats = SearchStats(best_cost=0.0)
+            labels = matrix.labels
             if n == 1:
-                tree = UltrametricTree.leaf(matrix.labels[0])
+                tree = UltrametricTree.leaf(labels[0])
             else:
-                tree = UltrametricTree.join(
-                    UltrametricTree.leaf(matrix.labels[0]),
-                    UltrametricTree.leaf(matrix.labels[1]),
-                    float(matrix.values[0][1]) / 2.0,
-                )
-                stats.best_cost = tree.cost()
+                height = float(matrix.values[0, 1]) / 2.0
+                if height < 0.0:
+                    raise ValueError(f"join height {height} is below a leaf")
+                # The cherry's nodes are built here and wrapped once.
+                tree = UltrametricTree(TreeNode(
+                    height,
+                    [TreeNode(label=labels[0]), TreeNode(label=labels[1])],
+                ))
+                # The two leaf edges, summed as ``tree.cost()`` would.
+                stats.best_cost = height + height
                 stats.elapsed_seconds = rec.clock() - start
             if tracker is not None:
                 tracker.final(stats.best_cost, stats)

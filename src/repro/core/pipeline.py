@@ -258,6 +258,8 @@ class CompactSetTreeBuilder:
                 top = stack[-1]
                 child = top.next_child()
                 if child is None:
+                    # Every tree merged here was solved for this build
+                    # alone, so the merge may move its nodes.
                     with self.recorder.span("pipeline.merge", size=top.node.size):
                         tree = merge_group_tree(top.group_tree, top.subtrees)
                     stack.pop()

@@ -62,7 +62,9 @@ class DistanceMatrix:
         validate: bool = True,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
-        array = np.asarray(values, dtype=float).copy()
+        # One copy, also for list input: the stored array never aliases
+        # the caller's.
+        array = np.array(values, dtype=float)
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise MatrixValidationError(
                 f"distance matrix must be square, got shape {array.shape}"
@@ -170,16 +172,18 @@ class DistanceMatrix:
         """Check the Definition-1 structural requirements.
 
         Raises :class:`MatrixValidationError` on the first violation found.
+        Each rule is one array reduction; once every entry is finite, the
+        symmetry rule is exactly ``np.allclose(v, v.T, atol=tol, rtol=0)``.
         """
         tol = self._tolerance
         v = self._values
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise MatrixValidationError("matrix contains non-finite entries")
-        if np.any(np.abs(np.diagonal(v)) > tol):
+        if (np.abs(v.diagonal()) > tol).any():
             raise MatrixValidationError("diagonal entries must be zero")
-        if np.any(v < -tol):
+        if (v < -tol).any():
             raise MatrixValidationError("distances must be non-negative")
-        if not np.allclose(v, v.T, atol=tol, rtol=0.0):
+        if not (np.abs(v - v.T) <= tol).all():
             raise MatrixValidationError("matrix must be symmetric")
 
     def is_metric(self) -> bool:

@@ -47,9 +47,10 @@ __all__ = [
 ]
 
 #: Methods that must find the exact minimum ultrametric tree.
-#: ``bnb`` branches with the batched kernel and ``bnb-scalar`` with the
-#: per-child reference loop, so every differential run doubles as a
-#: kernel-vs-scalar equivalence check.
+#: ``bnb`` branches with the batched kernel from 9 species
+#: (``repro.bnb.search._KERNEL_MIN_SPECIES``) and ``bnb-scalar`` with the
+#: per-child reference loop, so every differential run at that size
+#: doubles as a kernel-vs-scalar equivalence check.
 EXACT_METHODS: Tuple[str, ...] = (
     "bnb", "bnb-scalar", "parallel-bnb", "multiprocess"
 )

@@ -10,6 +10,7 @@ decision.
 import numpy as np
 import pytest
 
+from repro.bnb import search
 from repro.bnb.bounds import half_matrix
 from repro.bnb.kernel import (
     MAX_BATCH_SPECIES,
@@ -17,6 +18,7 @@ from repro.bnb.kernel import (
     BranchKernel,
     expand_positions,
 )
+from repro.bnb.search import _KERNEL_MIN_SPECIES, SearchCore
 from repro.bnb.sequential import exact_mut
 from repro.bnb.topology import PartialTopology
 from repro.matrix.distance_matrix import DistanceMatrix
@@ -160,7 +162,41 @@ class TestThresholdScreening:
         assert np.isinf(evaluation.lower_bounds).all()
 
 
+@pytest.fixture
+def kernel_at_every_size(monkeypatch):
+    """Let ``use_kernel=True`` build the kernel below the crossover too,
+    so a small search compares kernel with scalar, not scalar with
+    scalar."""
+    monkeypatch.setattr(search, "_KERNEL_MIN_SPECIES", 0)
+
+
+class TestKernelSelection:
+    """Engines branch with the kernel only from the measured crossover."""
+
+    def test_scalar_below_crossover(self):
+        for n in range(3, _KERNEL_MIN_SPECIES):
+            assert SearchCore(random_metric_matrix(n, seed=n)).kernel is None
+
+    def test_kernel_at_and_above_crossover(self):
+        for n in (_KERNEL_MIN_SPECIES, _KERNEL_MIN_SPECIES + 3):
+            core = SearchCore(random_metric_matrix(n, seed=n))
+            assert isinstance(core.kernel, BranchKernel)
+
+    def test_use_kernel_false_is_scalar_everywhere(self):
+        for n in (3, _KERNEL_MIN_SPECIES, _KERNEL_MIN_SPECIES + 3):
+            core = SearchCore(random_metric_matrix(n, seed=n), use_kernel=False)
+            assert core.kernel is None
+
+    def test_fixture_drives_kernel_below_crossover(self, kernel_at_every_size):
+        core = SearchCore(all_ties_matrix(_KERNEL_MIN_SPECIES - 1))
+        assert isinstance(core.kernel, BranchKernel)
+
+
+@pytest.mark.usefixtures("kernel_at_every_size")
 class TestSolverEquivalence:
+    """Full searches with and without the kernel, at any size: the
+    kernel is forced on below the crossover (see the fixture)."""
+
     STATS_FIELDS = (
         "nodes_created",
         "nodes_expanded",

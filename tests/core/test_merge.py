@@ -126,7 +126,11 @@ class TestOnePassMerge:
         chained = group_tree
         for name, subtree in subtrees.items():
             chained = chained.replace_leaf(name, subtree)
-        merged = merge_group_tree(group_tree, subtrees)
+        # The merge consumes its inputs, so it gets copies of its own.
+        merged = merge_group_tree(
+            group_tree.copy(),
+            {name: subtree.copy() for name, subtree in subtrees.items()},
+        )
         assert to_newick(merged, precision=12) == to_newick(
             chained, precision=12
         )
@@ -146,3 +150,58 @@ class TestOnePassMerge:
         )
         with pytest.raises(ValueError, match="duplicate"):
             merge_group_tree(group_tree, {"__g__": sub})
+
+
+class TestMergeMovesSubtrees:
+    """The merge moves solved subtrees into place instead of copying them,
+    so a whole build constructs a number of nodes linear in its size."""
+
+    def test_subtree_roots_are_moved_not_copied(self):
+        group_tree = UltrametricTree.join(
+            UltrametricTree.join(
+                UltrametricTree.leaf("__g1__"), UltrametricTree.leaf("c"), 6.0
+            ),
+            UltrametricTree.leaf("__g2__"),
+            8.0,
+        )
+        parents = {
+            name: group_tree.lca(name, name).parent
+            for name in ("__g1__", "__g2__")
+        }
+        subtrees = {
+            "__g1__": UltrametricTree.join(
+                UltrametricTree.leaf("a"), UltrametricTree.leaf("b"), 1.0
+            ),
+            "__g2__": UltrametricTree.join(
+                UltrametricTree.leaf("d"), UltrametricTree.leaf("e"), 2.0
+            ),
+        }
+        roots = {name: tree.root for name, tree in subtrees.items()}
+        merged = merge_group_tree(group_tree, subtrees)
+        in_merged = list(merged.root.walk())
+        for name, root in roots.items():
+            assert any(node is root for node in in_merged)
+            assert root.parent is parents[name]
+        assert merged.lca("a", "b") is roots["__g1__"]
+        assert sorted(merged.leaf_labels) == ["a", "b", "c", "d", "e"]
+        assert is_valid_ultrametric_tree(merged)
+
+    def test_nested_chain_builds_linearly_many_nodes(self, monkeypatch):
+        from repro.core.api import construct_tree
+        from repro.tree import ultrametric
+        from tests.differential_inputs import nested_chain
+
+        n = 300
+        m = nested_chain(n)
+        built = [0]
+        init = ultrametric.TreeNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ultrametric.TreeNode, "__init__", counting_init)
+        result = construct_tree(m, "compact")
+        assert result.tree.n_leaves == n
+        # Copying each solved subtree at every level builds ~n^2 / 2.
+        assert built[0] <= 4 * n, built[0]

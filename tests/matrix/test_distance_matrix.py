@@ -79,6 +79,36 @@ class TestConstruction:
         m = DistanceMatrix([[0.0]])
         assert m.n == 1
 
+    def test_zero_species_passes_validation(self):
+        m = DistanceMatrix(np.zeros((0, 0)))
+        assert m.n == 0
+        m.validate()
+
+    def test_non_finite_reported_before_asymmetry(self):
+        with pytest.raises(MatrixValidationError, match="non-finite"):
+            DistanceMatrix([[0, float("nan"), 1], [2, 0, 3], [4, 5, 0]])
+
+    def test_asymmetry_at_tolerance_passes(self):
+        # Binary fractions make the difference exactly the tolerance.
+        tol = 2.0 ** -10
+        m = DistanceMatrix([[0, 1], [1 + tol, 0]], tolerance=tol)
+        assert m[1, 0] - m[0, 1] == tol
+
+    def test_asymmetry_just_above_tolerance_fails(self):
+        tol = 1e-9
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        values[1, 0] = np.nextafter(1.0 + tol, 2.0)
+        assert abs(values[1, 0] - values[0, 1]) > tol
+        with pytest.raises(MatrixValidationError, match="symmetric"):
+            DistanceMatrix(values, tolerance=tol)
+
+    def test_later_writes_to_the_caller_array_do_not_leak(self):
+        for raw in ([[0.0, 1.0], [1.0, 0.0]], np.array([[0.0, 1.0], [1.0, 0.0]])):
+            m = DistanceMatrix(raw)
+            raw[0][1] = 99.0
+            assert m[0, 1] == 1.0
+            assert m.values is not raw
+
 
 class TestAccess:
     def test_getitem_by_index(self, tiny_matrix):
