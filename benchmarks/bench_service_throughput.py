@@ -17,6 +17,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --quick  # CI
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke  # CI
                            # smoke: subprocess serve + one POST + SIGTERM drain
+                           # (--backend process adds a multiprocess solve)
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --metrics-smoke
                            # subprocess serve + one POST + GET /metrics +
                            # live /jobs/<id>/progress snapshots during a
@@ -50,7 +51,10 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_service.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.matrix.generators import clustered_matrix  # noqa: E402
+from repro.matrix.generators import (  # noqa: E402
+    clustered_matrix,
+    random_metric_matrix,
+)
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.scheduler import Scheduler  # noqa: E402
 from repro.service.server import ServiceServer  # noqa: E402
@@ -368,7 +372,10 @@ def metrics_smoke() -> int:
 
 
 def smoke(backend: str = None) -> int:
-    """CI smoke: subprocess serve, one POST /solve, assert 200, drain."""
+    """CI smoke: subprocess serve, one POST /solve, assert 200, drain.
+
+    With ``backend="process"`` it also posts one ``multiprocess`` solve
+    and requires it to settle ``done``."""
     cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
     if backend:
         cmd += ["--backend", backend]
@@ -387,6 +394,17 @@ def smoke(backend: str = None) -> int:
         record = client.solve(clustered_matrix([3, 3], seed=1))
         assert record["state"] == "done", record
         print(f"solved: {record['result']['newick']}")
+        if backend == "process":
+            # The multiprocess engine starts worker processes of its own,
+            # which a (daemonic) slot child may not do.  Nine species
+            # leave work for both workers after the master's pre-branch.
+            record = client.solve(
+                random_metric_matrix(9, seed=1),
+                method="multiprocess",
+                options={"workers": 2},
+            )
+            assert record["state"] == "done", record
+            print(f"multiprocess solved: cost {record['result']['cost']}")
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
         stderr = proc.stderr.read()

@@ -242,7 +242,7 @@ def construct_tree_cached(
     ``"nj"`` bypasses the cache: additive NJ trees do not round-trip
     through the ultrametric Newick parser.
     """
-    from repro.service.cache import cache_key, result_payload
+    from repro.service.cache import cache_key, cached_solve, result_payload
     from repro.tree.newick import parse_newick
 
     if method == "nj":
@@ -250,43 +250,44 @@ def construct_tree_cached(
             matrix, method, cluster=cluster, recorder=recorder,
             metrics=metrics, verify=verify, **options
         )
-    rec = as_recorder(recorder)
     registry = as_metrics(metrics)
     key_options = dict(options)
     if cluster is not None:
         key_options["workers"] = cluster.n_workers
-    key = cache_key(matrix, method, key_options)
-    payload = cache.get(key)
-    if payload is not None:
-        rec.counter("cache.hit", key=key[:12])
-        registry.counter(
-            "cache.hit", "Content-addressed result-cache hits."
-        ).inc()
-        result = ConstructionResult(
-            tree=parse_newick(payload["newick"]),
-            cost=payload["cost"],
-            method=payload["method"],
-            details=payload,
-        )
-        if verify:
-            from repro.verify.oracles import run_oracles
+    solved = None
 
-            result.verification = run_oracles(
-                result.tree,
-                matrix,
-                reported_cost=result.cost,
-                method=result.method,
-                recorder=recorder,
-                metrics=registry,
-            )
-        return result
-    rec.counter("cache.miss", key=key[:12])
-    registry.counter(
-        "cache.miss", "Content-addressed result-cache misses."
-    ).inc()
-    result = construct_tree(
-        matrix, method, cluster=cluster, recorder=recorder,
-        metrics=metrics, verify=verify, **options
+    def solve() -> dict:
+        nonlocal solved
+        solved = construct_tree(
+            matrix, method, cluster=cluster, recorder=recorder,
+            metrics=metrics, verify=verify, **options
+        )
+        return result_payload(solved, matrix.n)
+
+    payload, hit = cached_solve(
+        cache,
+        cache_key(matrix, method, key_options),
+        solve,
+        recorder=as_recorder(recorder),
+        metrics=registry,
     )
-    cache.put(key, result_payload(result, matrix.n))
+    if not hit:
+        return solved
+    result = ConstructionResult(
+        tree=parse_newick(payload["newick"]),
+        cost=payload["cost"],
+        method=payload["method"],
+        details=payload,
+    )
+    if verify:
+        from repro.verify.oracles import run_oracles
+
+        result.verification = run_oracles(
+            result.tree,
+            matrix,
+            reported_cost=result.cost,
+            method=result.method,
+            recorder=recorder,
+            metrics=registry,
+        )
     return result

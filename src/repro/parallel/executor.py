@@ -1,29 +1,37 @@
-"""Reusable worker-process lifecycle and supervision primitives.
+"""Worker-process lifecycle and supervision: one wait loop, two callers.
 
-Two execution shapes in this repository put jobs into child processes,
+Two execution shapes in this repository put work into child processes,
 and both need the same hard guarantees -- a dead or wedged process is
 *detected*, reported with a typed error, and never hangs the parent:
 
 * the **one-shot scatter/gather** of :func:`repro.parallel.multiprocess.
-  multiprocess_mut` (spawn ``p`` workers, each solves one share of the
-  frontier, collect one message per worker) -- served here by
-  :func:`gather_one_per_worker`, extracted from that module's original
-  ``_gather_results``;
-* the **long-lived pool** of the serving layer's process backend (a
-  fixed set of worker processes each executing a stream of jobs) --
-  served by :class:`WorkerSlot`, a single supervised, respawnable
-  worker process.
+  multiprocess_mut` (start ``p`` workers, each solves one share of the
+  frontier and reports once, through one shared result queue);
+* the **long-lived slot** of the serving layer's process backend --
+  :class:`WorkerSlot`, a single supervised, respawnable worker process
+  executing a stream of jobs.
+
+Both run their children's work through :func:`run_task`, which ships
+every outcome as one ``(kind, worker_id, body)`` message -- ``result``
+with the return value, ``error`` with ``(exc_type, message,
+traceback)``, or ``progress`` with an out-of-band payload -- and both
+wait through :func:`supervise`, the one loop that polls a result queue
+and turns exit codes and deadlines into typed errors.  :func:`discard`
+is the one teardown, and :func:`select_start_method` the one choice of
+start method.
 
 Failure taxonomy (all :class:`RuntimeError` subclasses, so existing
 "supervision raises RuntimeError" contracts keep holding):
 
 :class:`RemoteTaskError`
-    The task itself raised in the child; the formatted traceback crossed
-    the process boundary and is preserved.  The worker is healthy.
+    The task itself raised in the child; the exception's type, message
+    and formatted traceback crossed the process boundary.  The worker
+    is healthy.
 :class:`WorkerCrashed`
-    The worker process died (signal, OOM kill, interpreter abort)
-    without reporting.  A :class:`WorkerSlot` respawns itself before
-    raising, so the slot is immediately usable again.
+    The worker process died (signal, OOM kill, interpreter abort), or
+    exited cleanly without its result arriving.  A :class:`WorkerSlot`
+    respawns itself before raising, so the slot is immediately usable
+    again.
 :class:`WorkerTimeout`
     The caller's deadline passed while the child was still computing.
     The child is *terminated* (its work is unwanted) and the slot
@@ -37,27 +45,49 @@ import os
 import queue as queue_lib
 import time
 import traceback
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "RemoteTaskError",
     "WorkerCrashed",
     "WorkerTimeout",
     "WorkerSlot",
+    "discard",
     "emit_slot_progress",
-    "gather_one_per_worker",
+    "run_task",
+    "select_start_method",
+    "supervise",
 ]
 
 #: Seconds between liveness checks while a parent waits on a child.
-DEFAULT_POLL_TIMEOUT = 0.25
+POLL_TIMEOUT = 0.25
 #: Seconds an idle slot child waits for a task before checking that
 #: its parent is still alive.
 ORPHAN_POLL_SECONDS = 0.5
-#: Consecutive empty polls tolerated after a worker exited cleanly (exit
-#: code 0) without its result arriving, before the parent gives up.
-#: Covers the short window in which a finished worker's queue feeder
-#: thread has written the payload but the pipe is not yet readable.
-DEFAULT_LOST_RESULT_GRACE = 20
+#: Consecutive empty polls tolerated after every pending worker exited
+#: cleanly (exit code 0) without its result arriving, before the parent
+#: gives up.  Covers the short window in which a finished worker's queue
+#: feeder thread has written the payload but the pipe is not yet readable.
+LOST_RESULT_GRACE = 20
+
+
+def select_start_method(preferred: Optional[str] = None) -> str:
+    """Pick a :mod:`multiprocessing` start method that exists here.
+
+    ``fork`` is preferred where the platform offers it (cheapest, shares
+    the parent's pages); otherwise ``spawn``.  Passing ``preferred``
+    forces that method, raising :class:`ValueError` if the platform does
+    not support it (e.g. ``fork`` on Windows).
+    """
+    available = multiprocessing.get_all_start_methods()
+    if preferred is not None:
+        if preferred not in available:
+            raise ValueError(
+                f"start method {preferred!r} is not available on this "
+                f"platform; choose from {available}"
+            )
+        return preferred
+    return "fork" if "fork" in available else "spawn"
 
 
 class RemoteTaskError(RuntimeError):
@@ -124,78 +154,166 @@ class WorkerTimeout(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# one-shot scatter/gather supervision (extracted from multiprocess.py)
+# the child side: every outcome is one (kind, worker_id, body) message
 # ----------------------------------------------------------------------
-def gather_one_per_worker(
+#: ``(worker_id, result_queue)`` of the task :func:`run_task` is running
+#: in this process, or ``None`` outside a task.  Module-level (not
+#: threaded through task signatures) because the task is an arbitrary
+#: picklable callable the executor must not constrain.
+_PROGRESS_CHANNEL = None
+
+
+def emit_slot_progress(payload) -> bool:
+    """Ship an out-of-band progress message to the waiting parent.
+
+    Valid only inside a task run by :func:`run_task` (every
+    :class:`WorkerSlot` task is); anywhere else it is a no-op returning
+    ``False``.  ``payload`` must be picklable.  The parent surfaces
+    these through ``on_progress`` *while it waits* -- this is how a
+    worker-process solver streams incumbent/gap snapshots before its
+    final payload exists.
+    """
+    channel = _PROGRESS_CHANNEL
+    if channel is None:
+        return False
+    worker_id, result_queue = channel
+    result_queue.put(("progress", worker_id, payload))
+    return True
+
+
+def run_task(worker_id: int, result_queue, fn: Callable, *args) -> bool:
+    """Run ``fn(*args)`` in this child and report the outcome as one message.
+
+    Puts ``("result", worker_id, value)``, or ``("error", worker_id,
+    (exc_type, message, traceback))`` when ``fn`` raises; while ``fn``
+    runs, :func:`emit_slot_progress` may put ``("progress", worker_id,
+    payload)`` messages ahead of it.  Returns ``False`` when ``fn``
+    raised :class:`KeyboardInterrupt` or :class:`SystemExit`, after
+    which the child should exit.  Usable directly as a one-shot
+    process's ``target``.
+    """
+    global _PROGRESS_CHANNEL
+    _PROGRESS_CHANNEL = (worker_id, result_queue)
+    try:
+        result_queue.put(("result", worker_id, fn(*args)))
+    except BaseException as exc:  # noqa: BLE001 - process boundary
+        result_queue.put((
+            "error",
+            worker_id,
+            (type(exc).__name__, str(exc), traceback.format_exc()),
+        ))
+        return not isinstance(exc, (KeyboardInterrupt, SystemExit))
+    finally:
+        _PROGRESS_CHANNEL = None
+    return True
+
+
+# ----------------------------------------------------------------------
+# the parent side: one wait loop, one teardown
+# ----------------------------------------------------------------------
+def supervise(
     processes: Dict[int, "multiprocessing.process.BaseProcess"],
     result_queue,
     *,
-    arrivals: Optional[Dict[int, float]] = None,
-    clock: Optional[Callable[[], float]] = None,
-    poll_timeout: float = DEFAULT_POLL_TIMEOUT,
-    lost_result_grace: int = DEFAULT_LOST_RESULT_GRACE,
-    what: str = "worker",
+    what: str,
+    detail: str = "before reporting a result",
+    deadline: Optional[float] = None,
     on_progress: Optional[Callable] = None,
-) -> List[tuple]:
-    """Collect one message per worker, supervising worker liveness.
+) -> Iterator[Tuple[int, object]]:
+    """Yield ``(worker_id, value)`` as each worker's result arrives.
 
-    Messages are ``(kind, worker_id, *rest)`` tuples; ``kind ==
-    "error"`` means the worker shipped a formatted traceback (raised as
-    :class:`RemoteTaskError`).  ``kind == "progress"`` messages are
-    out-of-band telemetry: fed to ``on_progress(worker_id, payload)``
-    when supplied (exceptions swallowed), dropped otherwise, and never
-    counted against a worker's one expected result.  Raises
-    :class:`WorkerCrashed` naming the worker when one dies without
-    reporting (non-zero exit code or a lost result).  When
-    ``arrivals``/``clock`` are supplied, each worker's result-arrival
-    timestamp is recorded so the caller can emit per-worker spans.
+    The one loop that waits on child processes.  It polls
+    ``result_queue`` every :data:`POLL_TIMEOUT` seconds until every
+    worker in ``processes`` has reported once, and between polls turns
+    what it observes into typed errors naming the worker (``what`` is
+    the noun in their messages):
+
+    * a worker exited with a non-zero code: :class:`WorkerCrashed`,
+      whose message ends with ``detail``;
+    * every pending worker exited cleanly and :data:`LOST_RESULT_GRACE`
+      polls brought nothing: :class:`WorkerCrashed` ("... never
+      arrived");
+    * ``deadline`` (absolute ``time.time()``) passed while a worker was
+      still computing: :class:`WorkerTimeout`;
+    * an ``error`` message: :class:`RemoteTaskError` with the child's
+      exception type, message and traceback.
+
+    ``progress`` messages go to ``on_progress(payload)`` in arrival
+    order -- always before their worker's result -- and never count as
+    a result; without the callback they are dropped, and a raising
+    callback is swallowed (telemetry must not take down the wait).  The
+    caller owns the processes and tears them down (:func:`discard`).
     """
     pending = dict(processes)
-    results: List[tuple] = []
     clean_exit_polls = 0
     while pending:
         try:
-            message = result_queue.get(timeout=poll_timeout)
+            kind, worker_id, body = result_queue.get(timeout=POLL_TIMEOUT)
         except queue_lib.Empty:
-            dead_clean = []
+            exited = []
             for worker_id, proc in sorted(pending.items()):
                 if proc.is_alive():
                     continue
-                code = proc.exitcode
-                if code not in (0, None):
+                if proc.exitcode != 0:
                     raise WorkerCrashed(
-                        worker_id, proc.pid, code, what=what
+                        worker_id, proc.pid, proc.exitcode,
+                        what=what, detail=detail,
                     )
-                dead_clean.append(worker_id)
-            if dead_clean and len(dead_clean) == len(pending):
+                exited.append(worker_id)
+            if len(exited) == len(pending):
                 clean_exit_polls += 1
-                if clean_exit_polls >= lost_result_grace:
+                if clean_exit_polls >= LOST_RESULT_GRACE:
                     raise WorkerCrashed(
-                        dead_clean[0],
-                        pending[dead_clean[0]].pid,
+                        exited[0],
+                        pending[exited[0]].pid,
                         0,
                         what=what,
                         detail=(
-                            f"(workers {dead_clean} exited cleanly but "
+                            f"(workers {exited} exited cleanly but "
                             f"their results never arrived)"
                         ),
                     )
+            elif deadline is not None and time.time() > deadline:
+                worker_id = min(pending.keys() - set(exited))
+                raise WorkerTimeout(
+                    worker_id,
+                    pending[worker_id].pid,
+                    max(0.0, time.time() - deadline),
+                    what=what,
+                )
             continue
-        kind, worker_id = message[0], message[1]
         if kind == "progress":
             if on_progress is not None:
                 try:
-                    on_progress(worker_id, message[2])
+                    on_progress(body)
                 except Exception:  # noqa: BLE001 - telemetry only
                     pass
             continue
         if kind == "error":
-            raise RemoteTaskError(worker_id, message[2], what=what)
+            exc_type, message, remote_tb = body
+            raise RemoteTaskError(
+                worker_id, remote_tb,
+                exc_type=exc_type, message=message, what=what,
+            )
         pending.pop(worker_id, None)
-        if arrivals is not None and clock is not None:
-            arrivals[worker_id] = clock()
-        results.append(message)
-    return results
+        yield worker_id, body
+
+
+def discard(processes: Iterable, *queues) -> None:
+    """Tear down child processes and the queues they used.
+
+    Terminates every process still running, joins each (bounded), then
+    closes the queues: the one teardown for finished, crashed and
+    unwanted workers alike.
+    """
+    processes = list(processes)
+    for proc in processes:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in processes:
+        proc.join(timeout=5.0)
+    for q in queues:
+        q.close()
 
 
 # ----------------------------------------------------------------------
@@ -204,47 +322,19 @@ def gather_one_per_worker(
 #: Sentinel telling a slot's child process to exit its task loop.
 _STOP = None
 
-#: Child-process side of the live progress channel: the result queue of
-#: the task currently executing in this process, or ``None`` outside a
-#: task.  Module-level (not threaded through runner signatures) because
-#: the runner is an arbitrary picklable callable the slot must not
-#: constrain.
-_SLOT_PROGRESS_QUEUE = None
 
-
-def emit_slot_progress(payload) -> bool:
-    """Ship an out-of-band progress message to the parent's ``call()``.
-
-    Valid only inside a :class:`WorkerSlot` task (the child's task loop
-    installs the channel around each ``runner(task)``); anywhere else it
-    is a no-op returning ``False``.  ``payload`` must be picklable.  The
-    parent surfaces these through ``call(..., on_progress=...)``
-    *during* the call -- this is how a worker-process solver streams
-    incumbent/gap snapshots before its final payload exists.
-    """
-    q = _SLOT_PROGRESS_QUEUE
-    if q is None:
-        return False
-    q.put(("progress", payload))
-    return True
-
-
-def _slot_main(runner: Callable, task_queue, result_queue) -> None:
+def _slot_main(worker_id: int, runner: Callable, task_queue, result_queue) -> None:
     """Child-process task loop: run tasks serially until told to stop.
 
-    Ships ``("ok", result)`` per task, or ``("error", exc_type, message,
-    traceback)`` when the task raises -- the worker itself survives task
-    exceptions and keeps serving.  While a task runs, the result queue
-    doubles as a live progress channel (see :func:`emit_slot_progress`):
-    ``("progress", payload)`` messages may precede the final
-    ``("ok", ...)`` / ``("error", ...)`` message.
+    Each task goes through :func:`run_task`, so it reports one
+    ``result`` or ``error`` message, possibly preceded by ``progress``
+    messages; the worker survives task exceptions and keeps serving.
 
     An idle child wakes every :data:`ORPHAN_POLL_SECONDS` and exits once
     its parent is gone (``os.getppid()`` changed: the child was
     re-parented).  A parent killed by SIGKILL never sends the stop
     sentinel, and a child blocked in ``get()`` would otherwise live on.
     """
-    global _SLOT_PROGRESS_QUEUE
     parent = os.getppid()
     while True:
         try:
@@ -255,26 +345,8 @@ def _slot_main(runner: Callable, task_queue, result_queue) -> None:
                 result_queue.cancel_join_thread()
                 return
             continue
-        if task is _STOP:
+        if task is _STOP or not run_task(worker_id, result_queue, runner, task):
             return
-        _SLOT_PROGRESS_QUEUE = result_queue
-        try:
-            result = runner(task)
-        except BaseException as exc:  # noqa: BLE001 - process boundary
-            result_queue.put(
-                (
-                    "error",
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                )
-            )
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                return
-        else:
-            result_queue.put(("ok", result))
-        finally:
-            _SLOT_PROGRESS_QUEUE = None
 
 
 class WorkerSlot:
@@ -283,10 +355,10 @@ class WorkerSlot:
     The slot owns a child process plus a private task/result queue pair
     (fresh queues per process generation, so a crash mid-write can never
     poison the next incarnation).  :meth:`call` blocks for the task's
-    result while polling child liveness; a crash respawns the slot and
-    raises :class:`WorkerCrashed`, a passed deadline terminates the
-    child, respawns, and raises :class:`WorkerTimeout` -- the slot is
-    always usable after an exception.
+    result in :func:`supervise`; a crash respawns the slot and raises
+    :class:`WorkerCrashed`, a passed deadline terminates the child,
+    respawns, and raises :class:`WorkerTimeout` -- the slot is always
+    usable after an exception.
 
     ``runner`` is a callable ``task -> result`` executed in the child.
     Under the ``fork`` start method anything callable works; under
@@ -300,20 +372,10 @@ class WorkerSlot:
         runner: Callable,
         *,
         start_method: Optional[str] = None,
-        poll_timeout: float = DEFAULT_POLL_TIMEOUT,
-        lost_result_grace: int = DEFAULT_LOST_RESULT_GRACE,
-        name_prefix: str = "repro-slot",
-        what: str = "worker process",
     ) -> None:
-        from repro.parallel.multiprocess import select_start_method
-
         self.worker_id = worker_id
         self.runner = runner
         self.start_method = select_start_method(start_method)
-        self.poll_timeout = poll_timeout
-        self.lost_result_grace = lost_result_grace
-        self.name_prefix = name_prefix
-        self.what = what
         #: Times this slot replaced a dead/wedged process with a new one.
         self.respawns = 0
         self._ctx = multiprocessing.get_context(self.start_method)
@@ -341,20 +403,15 @@ class WorkerSlot:
         self._result_q = self._ctx.Queue()
         self._proc = self._ctx.Process(
             target=_slot_main,
-            args=(self.runner, self._task_q, self._result_q),
-            name=f"{self.name_prefix}-{self.worker_id}",
+            args=(self.worker_id, self.runner, self._task_q, self._result_q),
+            name=f"repro-svc-proc-{self.worker_id}",
             daemon=True,
         )
         self._proc.start()
 
     def _discard(self, proc) -> None:
         """Drop a dead/unwanted process and its (possibly torn) queues."""
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        for q in (self._task_q, self._result_q):
-            if q is not None:
-                q.close()
+        discard([proc], self._task_q, self._result_q)
         self._proc = None
         self._task_q = self._result_q = None
 
@@ -379,65 +436,28 @@ class WorkerSlot:
         the slot respawned; :class:`RemoteTaskError` leaves the original
         (healthy) child in place.
 
-        ``on_progress`` receives the payload of every ``("progress",
-        payload)`` message the child emits via :func:`emit_slot_progress`
-        *while the call is still blocking* -- live mid-task telemetry,
-        delivered in emission order, always before the final result.  A
-        raising callback never kills the call (the exception is
-        swallowed; telemetry must not take down the job).  Without the
-        callback, progress messages are drained and dropped.
+        ``on_progress`` receives the payload of every progress message
+        the child emits via :func:`emit_slot_progress` *while the call
+        is still blocking* -- live mid-task telemetry, delivered in
+        emission order, always before the final result (see
+        :func:`supervise`).
         """
         self.start()
         proc = self._proc
-        result_q = self._result_q
         self._task_q.put(task)
-        clean_exit_polls = 0
-        while True:
-            try:
-                message = result_q.get(timeout=self.poll_timeout)
-            except queue_lib.Empty:
-                if not proc.is_alive():
-                    code = proc.exitcode
-                    if code == 0:
-                        # A clean exit without a result can race the
-                        # queue feeder; give the pipe a bounded grace.
-                        clean_exit_polls += 1
-                        if clean_exit_polls < self.lost_result_grace:
-                            continue
-                    pid = proc.pid
-                    self._respawn(proc)
-                    raise WorkerCrashed(
-                        self.worker_id, pid, code, what=self.what,
-                        detail="while executing a job",
-                    )
-                if deadline is not None and time.time() > deadline:
-                    pid = proc.pid
-                    overrun = max(0.0, time.time() - deadline)
-                    self._respawn(proc)
-                    raise WorkerTimeout(
-                        self.worker_id, pid, overrun, what=self.what,
-                    )
-                continue
-            kind = message[0]
-            if kind == "progress":
-                if on_progress is not None:
-                    try:
-                        on_progress(message[1])
-                    except Exception:  # noqa: BLE001 - telemetry only
-                        pass
-                continue
-            if kind == "ok":
-                return message[1]
-            if kind == "error":
-                _, exc_type, text, remote_tb = message
-                raise RemoteTaskError(
-                    self.worker_id, remote_tb,
-                    exc_type=exc_type, message=text, what=self.what,
-                )
-            raise RuntimeError(
-                f"{self.what} {self.worker_id} sent an unknown message "
-                f"kind {kind!r}"
-            )
+        try:
+            _, result = next(supervise(
+                {self.worker_id: proc},
+                self._result_q,
+                what="worker process",
+                detail="while executing a job",
+                deadline=deadline,
+                on_progress=on_progress,
+            ))
+        except (WorkerCrashed, WorkerTimeout):
+            self._respawn(proc)
+            raise
+        return result
 
     # ------------------------------------------------------------------
     def stop(self, timeout: float = 5.0) -> bool:

@@ -25,27 +25,35 @@ Production hardening (vs. the original prototype):
   through a 12-digit Newick string, so the re-parsed tree's cost could
   disagree with the reported cost).  The master re-materialises the tree
   and verifies ``|tree.cost() - cost| < 1e-9`` on receipt.
-* **Liveness supervision** -- the master polls the result queue with a
-  timeout and watches worker exit codes, so a worker killed by the OOM
-  killer or a signal raises a :class:`RuntimeError` naming the dead
-  worker instead of blocking forever on ``Queue.get()``.  Worker-side
-  exceptions travel back as formatted tracebacks.  All processes are
-  terminated and joined in a ``finally`` block.
+* **Liveness supervision** -- lives in :mod:`repro.parallel.executor`,
+  shared with the serving layer's worker slots.  Each worker runs its
+  share through :func:`~repro.parallel.executor.run_task`, and the
+  master waits in :func:`~repro.parallel.executor.supervise`: a worker
+  killed by the OOM killer or a signal raises a typed
+  :class:`~repro.parallel.executor.WorkerCrashed` naming it instead of
+  blocking forever on ``Queue.get()``, and a worker-side exception
+  arrives as a :class:`~repro.parallel.executor.RemoteTaskError` with
+  its original type, message and traceback.  A ``finally`` block tears
+  every process down with :func:`~repro.parallel.executor.discard`.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.bnb.search import SearchCore, SearchStats
 from repro.bnb.topology import PartialTopology
 from repro.bnb.sequential import BranchAndBoundSolver
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.obs.progress import current_progress
-from repro.parallel.executor import gather_one_per_worker
+from repro.parallel.executor import (
+    discard,
+    run_task,
+    select_start_method,
+    supervise,
+)
 from repro.obs.recorder import (
     NullRecorder,
     as_recorder,
@@ -57,32 +65,6 @@ from repro.tree.ultrametric import UltrametricTree
 __all__ = ["MultiprocessResult", "multiprocess_mut", "select_start_method"]
 
 _EPS = 1e-9
-#: Seconds between liveness checks while the master waits for results.
-_POLL_TIMEOUT = 0.25
-#: Consecutive empty polls tolerated after every pending worker exited
-#: cleanly (exit code 0) without its result arriving, before the master
-#: gives up.  Covers the short window in which a finished worker's queue
-#: feeder thread has written the payload but the pipe is not yet readable.
-_LOST_RESULT_GRACE = 20
-
-
-def select_start_method(preferred: Optional[str] = None) -> str:
-    """Pick a :mod:`multiprocessing` start method that exists here.
-
-    ``fork`` is preferred where the platform offers it (cheapest, shares
-    the parent's pages); otherwise ``spawn``.  Passing ``preferred``
-    forces that method, raising :class:`ValueError` if the platform does
-    not support it (e.g. ``fork`` on Windows).
-    """
-    available = multiprocessing.get_all_start_methods()
-    if preferred is not None:
-        if preferred not in available:
-            raise ValueError(
-                f"start method {preferred!r} is not available on this "
-                f"platform; choose from {available}"
-            )
-        return preferred
-    return "fork" if "fork" in available else "spawn"
 
 
 @dataclass
@@ -104,99 +86,62 @@ class MultiprocessResult:
 
 
 def _worker_main(
-    worker_id: int,
     payloads: List[tuple],
     core: SearchCore,
     shared_ub,
-    result_queue,
     poll_interval: int,
     trace_id: Optional[str] = None,
-) -> None:
+) -> Tuple[Optional[float], Optional[tuple], dict]:
     """DFS-complete a share of the frontier (runs in a child process).
 
     Every argument is picklable so the function works under both the
-    ``fork`` and ``spawn`` start methods.  Results (or a formatted
-    traceback on failure) are reported through ``result_queue`` as
-    ``(kind, worker_id, cost_or_traceback, payload, counters)`` tuples;
-    ``counters["stats"]`` is this worker's :class:`SearchStats`.
-    ``trace_id`` is the originating request's correlation id; the worker
-    echoes it back inside ``counters`` so the master stamps each
-    ``mp.worker`` span with an id that genuinely crossed the process
-    boundary (not one re-read from master-side state).
+    ``fork`` and ``spawn`` start methods.  Returns ``(cost, payload,
+    counters)``: the best topology found below the shared upper bound
+    (both ``None`` when there is none) and ``counters["stats"]``, this
+    worker's :class:`SearchStats`.  ``trace_id`` is the originating
+    request's correlation id; the worker echoes it back inside
+    ``counters`` so the master stamps each ``mp.worker`` span with an id
+    that genuinely crossed the process boundary (not one re-read from
+    master-side state).
     """
     # The core arrives carrying the master's pre-branch counters; this
     # worker reports only its own.
     core.stats = stats = SearchStats()
-    counters = {"stats": stats, "trace_id": trace_id}
-    try:
-        stack = sorted(
-            (PartialTopology.from_payload(p, core.half) for p in payloads),
-            key=lambda t: -t.lower_bound,
-        )
-        local_ub = shared_ub.value
-        best: Optional[PartialTopology] = None
-        while stack:
-            node = stack.pop()
-            if stats.nodes_expanded % poll_interval == 0:
-                published = shared_ub.value
-                if published < local_ub:
-                    local_ub = published
-            threshold = local_ub - _EPS
-            if node.lower_bound > threshold:
-                stats.nodes_pruned += 1
-                continue
-            children, complete = core.expand(node, threshold)
-            for child in complete:
-                if child.cost < local_ub - _EPS:
-                    local_ub = child.cost
-                    best = child
-                    stats.ub_updates += 1
-                    with shared_ub.get_lock():
-                        if local_ub < shared_ub.value:
-                            shared_ub.value = local_ub
-            if children:
-                children.sort(key=lambda c: -c.lower_bound)
-                stack.extend(children)
-                if len(stack) > stats.max_open_size:
-                    stats.max_open_size = len(stack)
-
-        if best is None:
-            result_queue.put(("result", worker_id, None, None, counters))
-        else:
-            result_queue.put(
-                ("result", worker_id, best.cost, best.to_payload(), counters)
-            )
-    except Exception:
-        result_queue.put(
-            ("error", worker_id, traceback.format_exc(), None, counters)
-        )
-
-
-def _gather_results(
-    processes: Dict[int, "multiprocessing.process.BaseProcess"],
-    result_queue,
-    arrivals: Optional[Dict[int, float]] = None,
-    clock=None,
-) -> List[tuple]:
-    """Collect one message per worker, supervising worker liveness.
-
-    Thin wrapper over the reusable supervision primitive
-    :func:`repro.parallel.executor.gather_one_per_worker` (the logic
-    started life here and was extracted for the serving layer's process
-    backend).  Raises a typed :class:`~repro.parallel.executor.
-    WorkerCrashed` / :class:`~repro.parallel.executor.RemoteTaskError`
-    (both ``RuntimeError`` subclasses) naming the worker when one dies
-    without reporting or ships back an exception traceback.
-    """
-    return gather_one_per_worker(
-        processes,
-        result_queue,
-        arrivals=arrivals,
-        clock=clock,
-        poll_timeout=_POLL_TIMEOUT,
-        lost_result_grace=_LOST_RESULT_GRACE,
-        what="branch-and-bound worker",
+    stack = sorted(
+        (PartialTopology.from_payload(p, core.half) for p in payloads),
+        key=lambda t: -t.lower_bound,
     )
+    local_ub = shared_ub.value
+    best: Optional[PartialTopology] = None
+    while stack:
+        node = stack.pop()
+        if stats.nodes_expanded % poll_interval == 0:
+            published = shared_ub.value
+            if published < local_ub:
+                local_ub = published
+        threshold = local_ub - _EPS
+        if node.lower_bound > threshold:
+            stats.nodes_pruned += 1
+            continue
+        children, complete = core.expand(node, threshold)
+        for child in complete:
+            if child.cost < local_ub - _EPS:
+                local_ub = child.cost
+                best = child
+                stats.ub_updates += 1
+                with shared_ub.get_lock():
+                    if local_ub < shared_ub.value:
+                        shared_ub.value = local_ub
+        if children:
+            children.sort(key=lambda c: -c.lower_bound)
+            stack.extend(children)
+            if len(stack) > stats.max_open_size:
+                stats.max_open_size = len(stack)
+
+    counters = {"stats": stats, "trace_id": trace_id}
+    if best is None:
+        return None, None, counters
+    return best.cost, best.to_payload(), counters
 
 
 def multiprocess_mut(
@@ -314,7 +259,6 @@ def _multiprocess_impl(
     result_queue = ctx.Queue()
     processes: Dict[int, "multiprocessing.process.BaseProcess"] = {}
     starts: Dict[int, float] = {}
-    arrivals: Dict[int, float] = {}
     try:
         for worker_id in range(n_workers):
             # Cyclic dispatch of the lower-bound-sorted frontier.
@@ -324,13 +268,14 @@ def _multiprocess_impl(
             if not share:
                 continue
             proc = ctx.Process(
-                target=_worker_main,
+                target=run_task,
                 args=(
                     worker_id,
+                    result_queue,
+                    _worker_main,
                     share,
                     core,
                     shared_ub,
-                    result_queue,
                     poll_interval,
                     trace_id,
                 ),
@@ -340,10 +285,10 @@ def _multiprocess_impl(
             proc.start()
             processes[worker_id] = proc
 
-        for message in _gather_results(
-            processes, result_queue, arrivals=arrivals, clock=rec.clock
+        for worker_id, (cost, payload, counters) in supervise(
+            processes, result_queue, what="branch-and-bound worker"
         ):
-            _, worker_id, cost, payload, counters = message
+            arrived = rec.clock()
             worker_stats = counters["stats"]
             stats.merge(worker_stats)
             if tracker is not None:
@@ -357,7 +302,7 @@ def _multiprocess_impl(
                 rec.add_span(
                     "mp.worker",
                     starts[worker_id],
-                    arrivals.get(worker_id, rec.clock()),
+                    arrived,
                     **span_attrs,
                 )
                 rec.counter(
@@ -381,12 +326,7 @@ def _multiprocess_impl(
                 best_cost = cost
                 best_tree = tree
     finally:
-        for proc in processes.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in processes.values():
-            proc.join(timeout=5.0)
-        result_queue.close()
+        discard(processes.values(), result_queue)
 
     stats.best_cost = best_cost
     stats.elapsed_seconds = rec.clock() - start

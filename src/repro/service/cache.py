@@ -29,7 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.matrix.distance_matrix import DistanceMatrix
 
@@ -37,6 +37,7 @@ __all__ = [
     "CACHE_KEY_VERSION",
     "canonical_params",
     "cache_key",
+    "cached_solve",
     "result_payload",
     "ResultCache",
 ]
@@ -107,6 +108,36 @@ def result_payload(result, n_species: int) -> dict:
         "cost": float(result.cost),
         "newick": newick,
     }
+
+
+#: Help text of the hit/miss counters :func:`cached_solve` bumps.
+_OUTCOME_HELP = {
+    "cache.hit": "Content-addressed result-cache hits.",
+    "cache.miss": "Content-addressed result-cache misses.",
+}
+
+
+def cached_solve(
+    cache, key: str, solve: Callable[[], dict], *, recorder, metrics
+) -> Tuple[dict, bool]:
+    """The payload stored under ``key``, or ``solve()``'s, stored there.
+
+    The one read/write path of the result cache: a get, then a
+    ``cache.hit`` or ``cache.miss`` counter on ``recorder`` (with the
+    ``key[:12]`` attribute) and on the ``metrics`` registry, then -- on
+    a miss -- ``solve()`` and a put of the payload it returns.  Returns
+    ``(payload, hit)``.  ``cache`` is a :class:`ResultCache` or anything
+    with its ``get``/``put`` protocol.
+    """
+    payload = cache.get(key)
+    outcome = "cache.miss" if payload is None else "cache.hit"
+    recorder.counter(outcome, key=key[:12])
+    metrics.counter(outcome, _OUTCOME_HELP[outcome]).inc()
+    if payload is not None:
+        return payload, True
+    payload = solve()
+    cache.put(key, payload)
+    return payload, False
 
 
 class ResultCache:

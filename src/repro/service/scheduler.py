@@ -40,7 +40,11 @@ Execution is pluggable (``backend=``):
     mid-job settles the job as ``FAILED`` with a typed
     ``WorkerCrashed: ...`` message and the slot respawns; one that runs
     past the job's deadline is terminated (``TIMEOUT``) and respawned --
-    never a silent hang, never a shrinking pool.
+    never a silent hang, never a shrinking pool.  A ``multiprocess``
+    job is the exception: a slot child is a daemonic process and may not
+    start processes of its own, so that job's master runs on the worker
+    thread, as on the thread backend, and starts its own supervised
+    worker processes.
 
 :func:`select_backend` picks ``"process"`` for exact methods (the GIL
 is the bottleneck) and ``"thread"`` otherwise; the cache and recorder
@@ -77,7 +81,12 @@ from repro.parallel.executor import (
     WorkerTimeout,
     emit_slot_progress,
 )
-from repro.service.cache import ResultCache, cache_key, result_payload
+from repro.service.cache import (
+    ResultCache,
+    cache_key,
+    cached_solve,
+    result_payload,
+)
 from repro.service.errors import QueueFull, SchedulerClosed
 from repro.service.jobs import Job, JobState
 from repro.tree.ultrametric import UltrametricTree
@@ -320,12 +329,6 @@ class Scheduler:
             "Time a job waited between submission and a worker starting it.",
             labelnames=("method",),
         )
-        self._m_cache_hit = m.counter(
-            "cache.hit", "Content-addressed result-cache hits."
-        )
-        self._m_cache_miss = m.counter(
-            "cache.miss", "Content-addressed result-cache misses."
-        )
         self._m_rejected = m.counter(
             "queue.rejected", "Submissions shed by queue admission control."
         )
@@ -392,8 +395,6 @@ class Scheduler:
                     i,
                     slot_runner,
                     start_method=start_method,
-                    name_prefix="repro-svc-proc",
-                    what="worker process",
                 ).start()
         self._workers = [
             threading.Thread(
@@ -560,32 +561,29 @@ class Scheduler:
                 key=job.key[:12],
                 backend=self.backend,
             ):
-                payload = self.cache.get(job.key)
                 tree = None  # the payload's tree, once something parsed it
-                if payload is not None:
-                    cache_status = "hit"
-                    rec.counter("cache.hit", key=job.key[:12])
-                    self._m_cache_hit.inc()
-                else:
-                    cache_status = "miss"
-                    rec.counter("cache.miss", key=job.key[:12])
-                    self._m_cache_miss.inc()
-                    if slot is not None:
+
+                def solve() -> dict:
+                    nonlocal tree
+                    if slot is not None and job.method != "multiprocess":
                         payload = self._run_in_slot(slot, job, rec)
                         tree = self._verify_receipt(job, payload)
-                    else:
-                        tracker = ProgressTracker(
-                            recorder=rec,
-                            metrics=self.metrics,
-                            sink=functools.partial(
-                                self._publish_progress, job
-                            ),
+                        return payload
+                    tracker = ProgressTracker(
+                        recorder=rec,
+                        metrics=self.metrics,
+                        sink=functools.partial(self._publish_progress, job),
+                    )
+                    with progress_context(tracker):
+                        return self._runner(
+                            job.matrix, job.method, job.options, rec
                         )
-                        with progress_context(tracker):
-                            payload = self._runner(
-                                job.matrix, job.method, job.options, rec
-                            )
-                    self.cache.put(job.key, payload)
+
+                payload, hit = cached_solve(
+                    self.cache, job.key, solve,
+                    recorder=rec, metrics=self.metrics,
+                )
+                cache_status = "hit" if hit else "miss"
                 if job.verify:
                     job.verification = self._verify_payload(
                         job, payload, tree

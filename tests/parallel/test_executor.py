@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import repro.parallel.executor as executor
 from repro.parallel.executor import (
     RemoteTaskError,
     WorkerCrashed,
@@ -73,7 +74,7 @@ class TestRoundtrip:
 
 class TestTaskErrors:
     def test_task_exception_is_typed_and_worker_survives(self):
-        with WorkerSlot(7, raising_task, what="worker process") as s:
+        with WorkerSlot(7, raising_task) as s:
             pid = s.pid
             with pytest.raises(RemoteTaskError, match=r"worker process 7"):
                 s.call("t1")
@@ -95,7 +96,7 @@ class TestTaskErrors:
 
 class TestCrashSupervision:
     def test_killed_worker_is_detected_and_respawned(self):
-        with WorkerSlot(5, self_killing_task, what="worker process") as s:
+        with WorkerSlot(5, self_killing_task) as s:
             first_pid = s.pid
             with pytest.raises(
                 WorkerCrashed, match=r"worker process 5 .*died with exit code"
@@ -121,8 +122,12 @@ class TestCrashSupervision:
 
 
 class TestDeadline:
+    @pytest.fixture(autouse=True)
+    def fast_polls(self, monkeypatch):
+        monkeypatch.setattr(executor, "POLL_TIMEOUT", 0.05)
+
     def test_deadline_terminates_wedged_worker(self):
-        with WorkerSlot(4, sleepy_task, poll_timeout=0.05) as s:
+        with WorkerSlot(4, sleepy_task) as s:
             t0 = time.monotonic()
             with pytest.raises(
                 WorkerTimeout, match=r"past its job's deadline"
@@ -134,7 +139,7 @@ class TestDeadline:
             assert s.call(0.0) == "woke"
 
     def test_no_deadline_waits_for_result(self):
-        with WorkerSlot(6, sleepy_task, poll_timeout=0.05) as s:
+        with WorkerSlot(6, sleepy_task) as s:
             assert s.call(0.6) == "woke"
             assert s.respawns == 0
 

@@ -2,26 +2,21 @@
 
 Covers the production-shape guarantees: start-method portability
 (fork *and* spawn give the sequential optimum), exact (non-lossy) result
-transport, and liveness supervision (a dead worker raises instead of
-hanging the master forever).
+transport, and process cleanup.  Liveness supervision (a dead worker
+raises instead of hanging the master forever) is shared with the
+service's worker slots and tested for both in ``test_supervision.py``.
 """
 
 import multiprocessing
-import os
 
 import pytest
 
-import repro.parallel.multiprocess as mp_engine
 from repro.bnb.bounds import search_context
 from repro.bnb.sequential import exact_mut
 from repro.bnb.topology import PartialTopology
 from repro.matrix.generators import random_metric_matrix
 from repro.matrix.maxmin import apply_maxmin
-from repro.parallel.multiprocess import (
-    _gather_results,
-    multiprocess_mut,
-    select_start_method,
-)
+from repro.parallel.multiprocess import multiprocess_mut, select_start_method
 
 AVAILABLE = multiprocessing.get_all_start_methods()
 START_METHODS = [m for m in ("fork", "spawn") if m in AVAILABLE]
@@ -73,49 +68,7 @@ class TestExactTransport:
         assert tree.cost() == pytest.approx(topo.cost, abs=1e-12)
 
 
-def _exit_without_reporting(code):
-    """Worker stand-in that dies before putting anything on the queue."""
-    os._exit(code)
-
-
-def _report_error(worker_id, result_queue):
-    result_queue.put(("error", worker_id, "boom traceback", None,
-                      {"expanded": 0, "pruned": 0}))
-
-
 class TestSupervision:
-    @pytest.mark.skipif("fork" not in AVAILABLE, reason="needs fork")
-    def test_dead_worker_raises_named_error(self):
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        proc = ctx.Process(target=_exit_without_reporting, args=(3,))
-        proc.start()
-        with pytest.raises(RuntimeError, match=r"worker 7 .*exit code 3"):
-            _gather_results({7: proc}, result_queue)
-        proc.join()
-
-    @pytest.mark.skipif("fork" not in AVAILABLE, reason="needs fork")
-    def test_worker_exception_travels_back(self):
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        proc = ctx.Process(target=_report_error, args=(4, result_queue))
-        proc.start()
-        with pytest.raises(RuntimeError, match="worker 4 raised"):
-            _gather_results({4: proc}, result_queue)
-        proc.join()
-
-    @pytest.mark.skipif("fork" not in AVAILABLE, reason="needs fork")
-    def test_lost_result_detected(self, monkeypatch):
-        """Clean exit without a result must not hang the master."""
-        monkeypatch.setattr(mp_engine, "_LOST_RESULT_GRACE", 2)
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        proc = ctx.Process(target=_exit_without_reporting, args=(0,))
-        proc.start()
-        with pytest.raises(RuntimeError, match="never arrived"):
-            _gather_results({0: proc}, result_queue)
-        proc.join()
-
     def test_processes_cleaned_up_after_run(self):
         m = random_metric_matrix(9, seed=11)
         multiprocess_mut(m, n_workers=3)

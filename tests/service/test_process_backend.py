@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.matrix.generators import clustered_matrix
+from repro.matrix.generators import clustered_matrix, random_metric_matrix
 from repro.obs import MetricsRegistry, Recorder
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobState
@@ -88,6 +88,26 @@ class TestRoundtrip:
         with Scheduler(workers=1, backend="process") as processed:
             via_process = processed.solve(matrix, "compact", timeout=60.0)
         assert via_process == via_thread
+
+
+    def test_multiprocess_job_runs_on_process_backend(self):
+        """A slot child is daemonic and may not start processes, so a
+        ``multiprocess`` job's master must run outside the slot."""
+        m = random_metric_matrix(9, seed=1)
+        options = {"workers": 2}
+        with Scheduler(workers=1, backend="thread") as threaded:
+            via_thread = threaded.solve(m, "multiprocess", options, timeout=60.0)
+        rec = Recorder()
+        with Scheduler(workers=1, backend="process", recorder=rec) as processed:
+            job = processed.submit(m, "multiprocess", options, trace_id="mp-1")
+            via_process = job.result(60.0)
+        assert job.state == JobState.DONE
+        assert via_process == via_thread
+        assert via_process["cost"] == 168.5
+        # Each engine worker process reports its span into the job's trace.
+        workers = rec.spans("mp.worker")
+        assert sorted(s.attrs["worker"] for s in workers) == [0, 1]
+        assert all(s.attrs["trace_id"] == "mp-1" for s in workers)
 
 
 class TestTelemetryForwarding:
