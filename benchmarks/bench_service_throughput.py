@@ -43,6 +43,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -371,14 +372,40 @@ def metrics_smoke() -> int:
             proc.wait(timeout=10)
 
 
+def check_child_telemetry(trace_path: Path, trace_id: str) -> None:
+    """The first solve's child-side spans reached the server's trace: its
+    ``pipeline.build`` span carries the job's ``trace_id`` and nests under
+    that job's ``service.job`` span."""
+    from repro.obs import SpanEvent, read_jsonl
+
+    spans = {e.id: e for e in read_jsonl(trace_path) if isinstance(e, SpanEvent)}
+    builds = [
+        s for s in spans.values()
+        if s.name == "pipeline.build" and s.attrs.get("trace_id") == trace_id
+    ]
+    assert len(builds) == 1, f"{len(builds)} pipeline.build spans for {trace_id}"
+    node = builds[0]
+    while node.parent is not None and node.name != "service.job":
+        node = spans[node.parent]
+    assert node.name == "service.job", "pipeline.build is not under service.job"
+    assert node.attrs.get("trace_id") == trace_id, node.attrs
+
+
 def smoke(backend: str = None) -> int:
     """CI smoke: subprocess serve, one POST /solve, assert 200, drain.
 
-    With ``backend="process"`` it also posts one ``multiprocess`` solve
-    and requires it to settle ``done``."""
+    With ``backend="process"`` the server also writes ``--trace-out``:
+    the first solve's child telemetry must reach ``/metrics`` (one
+    ``solve_seconds`` observation) and, after the drain, the trace
+    (:func:`check_child_telemetry`).  It then posts one ``multiprocess``
+    solve and requires it to settle ``done``."""
     cmd = [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
     if backend:
         cmd += ["--backend", backend]
+    trace_dir = tempfile.TemporaryDirectory()
+    trace_path = Path(trace_dir.name) / "smoke_trace.jsonl"
+    if backend == "process":
+        cmd += ["--trace-out", str(trace_path)]
     proc = subprocess.Popen(
         cmd,
         stdout=subprocess.PIPE,
@@ -395,6 +422,9 @@ def smoke(backend: str = None) -> int:
         assert record["state"] == "done", record
         print(f"solved: {record['result']['newick']}")
         if backend == "process":
+            needle = 'solve_seconds_count{method="compact"} 1\n'
+            assert needle in client.metrics(), f"/metrics lacks {needle!r}"
+            first_trace_id = record["trace_id"]
             # The multiprocess engine starts worker processes of its own,
             # which a (daemonic) slot child may not do.  Nine species
             # leave work for both workers after the master's pre-branch.
@@ -412,6 +442,9 @@ def smoke(backend: str = None) -> int:
         if backend:
             assert f"backend={backend}" in stderr, stderr
         assert code == 0, f"serve exited {code}"
+        if backend == "process":
+            check_child_telemetry(trace_path, first_trace_id)
+            print("child telemetry OK: /metrics and the trace")
         print(f"smoke OK: solve 200 + SIGTERM drain "
               f"(backend={backend or 'auto'})")
         return 0
@@ -419,6 +452,7 @@ def smoke(backend: str = None) -> int:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+        trace_dir.cleanup()
 
 
 def main(argv=None) -> int:

@@ -43,6 +43,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
     as_metrics,
+    metrics_context,
     replay_metric_ops,
 )
 from repro.obs.profile import (
@@ -88,6 +89,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "as_metrics",
+    "metrics_context",
     "replay_metric_ops",
     "ProfileNode",
     "build_span_tree",

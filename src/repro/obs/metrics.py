@@ -36,9 +36,11 @@ render (``service_job_seconds``; counters gain ``_total``).
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -52,6 +54,7 @@ __all__ = [
     "NULL_METRICS",
     "REGISTRY",
     "as_metrics",
+    "metrics_context",
     "prometheus_name",
     "replay_metric_ops",
 ]
@@ -515,9 +518,34 @@ NULL_METRICS = NullMetricsRegistry()
 REGISTRY = MetricsRegistry()
 
 
+#: The ambient registry bound by :func:`metrics_context`, if any.
+_METRICS: "contextvars.ContextVar[Optional[MetricsRegistry]]" = (
+    contextvars.ContextVar("repro_metrics", default=None)
+)
+
+
+@contextmanager
+def metrics_context(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Bind ``registry`` as the default registry for the block.
+
+    Mirrors ``trace_context``: code inside the block that records into
+    ``as_metrics(None)`` -- ``construct_tree``'s ``solve.seconds`` --
+    lands in ``registry``, which is how a scheduler job's engine metrics
+    reach the scheduler's own registry with no signature churn.
+    """
+    token = _METRICS.set(registry)
+    try:
+        yield registry
+    finally:
+        _METRICS.reset(token)
+
+
 def as_metrics(metrics: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """``metrics`` itself, or the process-wide default for ``None``."""
-    return REGISTRY if metrics is None else metrics
+    """``metrics`` itself; for ``None`` the ambient registry bound by
+    :func:`metrics_context`, else the process-wide default."""
+    if metrics is not None:
+        return metrics
+    return _METRICS.get() or REGISTRY
 
 
 # ----------------------------------------------------------------------
@@ -569,12 +597,12 @@ class _ForwardingInstrument:
 class ForwardingMetricsRegistry(MetricsRegistry):
     """A live registry that also logs mutations for cross-process replay.
 
-    A worker process installs one of these as its registry for a job's
-    duration; afterwards :meth:`drain_ops` returns a picklable op list
-    the parent feeds to :func:`replay_metric_ops` against *its* registry
-    -- so ``GET /metrics`` on the serving process sees engine-side
-    counters and histograms (e.g. ``solve.seconds``) recorded in worker
-    processes.
+    A worker process binds one (:func:`metrics_context`) for a job's
+    duration; :meth:`drain_ops` returns a picklable op list -- the ops
+    since the last drain, so a job's log ships in increments -- that the
+    parent feeds to :func:`replay_metric_ops` against *its* registry, so
+    ``GET /metrics`` on the serving process sees engine-side counters
+    and histograms (e.g. ``solve.seconds``) recorded in worker processes.
     """
 
     def __init__(self, **kwargs) -> None:

@@ -144,6 +144,11 @@ class SpanEvent:
             "attrs": self.attrs,
         }
 
+    def to_wire(self) -> tuple:
+        """The plain tuple :meth:`Recorder.ingest` reads (cheap to pickle)."""
+        return ("span", self.id, self.parent, self.name, self.start,
+                self.end, self.attrs)
+
 
 @dataclass(frozen=True)
 class CounterEvent:
@@ -164,6 +169,11 @@ class CounterEvent:
             "span": self.span,
             "attrs": self.attrs,
         }
+
+    def to_wire(self) -> tuple:
+        """The plain tuple :meth:`Recorder.ingest` reads (cheap to pickle)."""
+        return ("counter", self.name, self.value, self.time, self.span,
+                self.attrs)
 
 
 class Span:
@@ -357,54 +367,43 @@ class Recorder(NullRecorder):
         return event
 
     def ingest(self, events, *, offset: float = 0.0) -> int:
-        """Replay serialized events from another process into this trace.
+        """Replay events from another process into this trace.
 
-        ``events`` is a list of ``to_json()``-shaped dicts (what a worker
-        process ships back across a queue); ``offset`` is added to every
-        timestamp, re-basing the child's clock onto this recorder's (the
-        two ``perf_counter`` origins are not comparable across
-        processes).  Span ids are freshly allocated with parent links
-        preserved; events whose parent did not cross the boundary (and
-        root events) are parented to the calling thread's currently open
-        span, so a forwarded worker trace nests inside the parent's
-        ``service.job`` span exactly like locally recorded work.
-        Returns the number of events ingested; unknown kinds (``meta``)
-        are skipped.
+        ``events`` is a list of :meth:`SpanEvent.to_wire` /
+        :meth:`CounterEvent.to_wire` tuples (what a worker process ships
+        back across a queue); ``offset`` is added to every timestamp,
+        re-basing the child's clock onto this recorder's (the two
+        ``perf_counter`` origins are not comparable across processes).
+        Span ids are freshly allocated with parent links preserved;
+        events whose parent did not cross the boundary (and root events)
+        are parented to the calling thread's currently open span, so a
+        forwarded worker trace nests inside the parent's ``service.job``
+        span exactly like locally recorded work.  Returns the number of
+        events ingested; unknown kinds are skipped.
         """
         stack = self._stack_for_thread()
         root_parent = stack[-1].id if stack else None
         # Two passes: ids first, so a child span recorded before its
-        # parent closed still maps its parent link correctly.
+        # parent closed still maps its parent link correctly.  A ``None``
+        # parent is never a key, so roots map to ``root_parent`` too.
         id_map = {
-            record["id"]: self._allocate_id()
+            record[1]: self._allocate_id()
             for record in events
-            if record.get("event") == "span"
+            if record[0] == "span"
         }
-
-        def remap(old: Optional[int]) -> Optional[int]:
-            if old is None:
-                return root_parent
-            return id_map.get(old, root_parent)
-
         ingested = 0
-        for record in events:
-            kind = record.get("event")
+        for kind, *fields in events:
             if kind == "span":
+                span_id, parent, name, start, end, attrs = fields
                 self._record(SpanEvent(
-                    id=id_map[record["id"]],
-                    parent=remap(record.get("parent")),
-                    name=record["name"],
-                    start=record["start"] + offset,
-                    end=record["end"] + offset,
-                    attrs=dict(record.get("attrs", {})),
+                    id_map[span_id], id_map.get(parent, root_parent), name,
+                    start + offset, end + offset, dict(attrs),
                 ))
             elif kind == "counter":
+                name, value, at, span, attrs = fields
                 self._record(CounterEvent(
-                    name=record["name"],
-                    value=record["value"],
-                    time=record["time"] + offset,
-                    span=remap(record.get("span")),
-                    attrs=dict(record.get("attrs", {})),
+                    name, value, at + offset,
+                    id_map.get(span, root_parent), dict(attrs),
                 ))
             else:
                 continue

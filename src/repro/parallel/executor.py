@@ -14,7 +14,7 @@ and both need the same hard guarantees -- a dead or wedged process is
 Both run their children's work through :func:`run_task`, which ships
 every outcome as one ``(kind, worker_id, body)`` message -- ``result``
 with the return value, ``error`` with ``(exc_type, message,
-traceback)``, or ``progress`` with an out-of-band payload -- and both
+traceback)``, or ``telemetry`` with an out-of-band payload -- and both
 wait through :func:`supervise`, the one loop that polls a result queue
 and turns exit codes and deadlines into typed errors.  :func:`discard`
 is the one teardown, and :func:`select_start_method` the one choice of
@@ -53,7 +53,7 @@ __all__ = [
     "WorkerTimeout",
     "WorkerSlot",
     "discard",
-    "emit_slot_progress",
+    "emit_slot_telemetry",
     "run_task",
     "select_start_method",
     "supervise",
@@ -160,24 +160,24 @@ class WorkerTimeout(RuntimeError):
 #: in this process, or ``None`` outside a task.  Module-level (not
 #: threaded through task signatures) because the task is an arbitrary
 #: picklable callable the executor must not constrain.
-_PROGRESS_CHANNEL = None
+_TELEMETRY_CHANNEL = None
 
 
-def emit_slot_progress(payload) -> bool:
-    """Ship an out-of-band progress message to the waiting parent.
+def emit_slot_telemetry(payload) -> bool:
+    """Ship an out-of-band telemetry message to the waiting parent.
 
     Valid only inside a task run by :func:`run_task` (every
     :class:`WorkerSlot` task is); anywhere else it is a no-op returning
     ``False``.  ``payload`` must be picklable.  The parent surfaces
-    these through ``on_progress`` *while it waits* -- this is how a
-    worker-process solver streams incumbent/gap snapshots before its
-    final payload exists.
+    these through ``on_telemetry`` *while it waits* -- this is how a
+    worker process streams its spans, metric operations and progress
+    snapshots, mid-task and once more when the task ends.
     """
-    channel = _PROGRESS_CHANNEL
+    channel = _TELEMETRY_CHANNEL
     if channel is None:
         return False
     worker_id, result_queue = channel
-    result_queue.put(("progress", worker_id, payload))
+    result_queue.put(("telemetry", worker_id, payload))
     return True
 
 
@@ -186,14 +186,14 @@ def run_task(worker_id: int, result_queue, fn: Callable, *args) -> bool:
 
     Puts ``("result", worker_id, value)``, or ``("error", worker_id,
     (exc_type, message, traceback))`` when ``fn`` raises; while ``fn``
-    runs, :func:`emit_slot_progress` may put ``("progress", worker_id,
+    runs, :func:`emit_slot_telemetry` may put ``("telemetry", worker_id,
     payload)`` messages ahead of it.  Returns ``False`` when ``fn``
     raised :class:`KeyboardInterrupt` or :class:`SystemExit`, after
     which the child should exit.  Usable directly as a one-shot
     process's ``target``.
     """
-    global _PROGRESS_CHANNEL
-    _PROGRESS_CHANNEL = (worker_id, result_queue)
+    global _TELEMETRY_CHANNEL
+    _TELEMETRY_CHANNEL = (worker_id, result_queue)
     try:
         result_queue.put(("result", worker_id, fn(*args)))
     except BaseException as exc:  # noqa: BLE001 - process boundary
@@ -204,7 +204,7 @@ def run_task(worker_id: int, result_queue, fn: Callable, *args) -> bool:
         ))
         return not isinstance(exc, (KeyboardInterrupt, SystemExit))
     finally:
-        _PROGRESS_CHANNEL = None
+        _TELEMETRY_CHANNEL = None
     return True
 
 
@@ -218,7 +218,7 @@ def supervise(
     what: str,
     detail: str = "before reporting a result",
     deadline: Optional[float] = None,
-    on_progress: Optional[Callable] = None,
+    on_telemetry: Optional[Callable] = None,
 ) -> Iterator[Tuple[int, object]]:
     """Yield ``(worker_id, value)`` as each worker's result arrives.
 
@@ -238,7 +238,7 @@ def supervise(
     * an ``error`` message: :class:`RemoteTaskError` with the child's
       exception type, message and traceback.
 
-    ``progress`` messages go to ``on_progress(payload)`` in arrival
+    ``telemetry`` messages go to ``on_telemetry(payload)`` in arrival
     order -- always before their worker's result -- and never count as
     a result; without the callback they are dropped, and a raising
     callback is swallowed (telemetry must not take down the wait).  The
@@ -282,10 +282,10 @@ def supervise(
                     what=what,
                 )
             continue
-        if kind == "progress":
-            if on_progress is not None:
+        if kind == "telemetry":
+            if on_telemetry is not None:
                 try:
-                    on_progress(body)
+                    on_telemetry(body)
                 except Exception:  # noqa: BLE001 - telemetry only
                     pass
             continue
@@ -327,7 +327,7 @@ def _slot_main(worker_id: int, runner: Callable, task_queue, result_queue) -> No
     """Child-process task loop: run tasks serially until told to stop.
 
     Each task goes through :func:`run_task`, so it reports one
-    ``result`` or ``error`` message, possibly preceded by ``progress``
+    ``result`` or ``error`` message, possibly preceded by ``telemetry``
     messages; the worker survives task exceptions and keeps serving.
 
     An idle child wakes every :data:`ORPHAN_POLL_SECONDS` and exits once
@@ -426,7 +426,7 @@ class WorkerSlot:
         task,
         *,
         deadline: Optional[float] = None,
-        on_progress: Optional[Callable] = None,
+        on_telemetry: Optional[Callable] = None,
     ):
         """Run ``task`` in the child and return its result.
 
@@ -436,10 +436,10 @@ class WorkerSlot:
         the slot respawned; :class:`RemoteTaskError` leaves the original
         (healthy) child in place.
 
-        ``on_progress`` receives the payload of every progress message
-        the child emits via :func:`emit_slot_progress` *while the call
+        ``on_telemetry`` receives the payload of every telemetry message
+        the child emits via :func:`emit_slot_telemetry` *while the call
         is still blocking* -- live mid-task telemetry, delivered in
-        emission order, always before the final result (see
+        emission order, always before the final result or error (see
         :func:`supervise`).
         """
         self.start()
@@ -452,7 +452,7 @@ class WorkerSlot:
                 what="worker process",
                 detail="while executing a job",
                 deadline=deadline,
-                on_progress=on_progress,
+                on_telemetry=on_telemetry,
             ))
         except (WorkerCrashed, WorkerTimeout):
             self._respawn(proc)

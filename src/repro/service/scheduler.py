@@ -30,11 +30,13 @@ Execution is pluggable (``backend=``):
     it, so concurrent exact B&B solves -- pure-Python object
     manipulation that holds the GIL -- scale across cores.  The child
     re-materialises the matrix from plain floats (bit-exact transport),
-    runs the same runner, and ships back the payload *plus* its
-    span/counter events and metric mutations; the parent re-bases the
-    events into its own trace (:meth:`repro.obs.Recorder.ingest`) and
-    replays the metrics (:func:`repro.obs.metrics.replay_metric_ops`),
-    so ``/metrics`` and JSONL traces are as complete as with threads.
+    runs the same runner and returns the payload alone.  Its spans,
+    metric operations and progress travel as ``telemetry`` messages
+    (see :func:`_process_job_task`), the closing one sent even when the
+    job fails; one parent function, ``_absorb_telemetry``, re-bases
+    each onto the dispatch time, ingests the events, replays the metric
+    operations and publishes the progress, so ``/metrics`` and JSONL
+    traces are as complete as with threads, for failed jobs too.
     The payload's reported cost is re-verified against its Newick
     reconstruction to 1e-9 on receipt.  A worker process that dies
     mid-job settles the job as ``FAILED`` with a typed
@@ -65,6 +67,7 @@ from repro.obs.metrics import (
     ForwardingMetricsRegistry,
     MetricsRegistry,
     as_metrics,
+    metrics_context,
     replay_metric_ops,
 )
 from repro.obs.progress import ProgressTracker, progress_context
@@ -79,7 +82,7 @@ from repro.parallel.executor import (
     WorkerCrashed,
     WorkerSlot,
     WorkerTimeout,
-    emit_slot_progress,
+    emit_slot_telemetry,
 )
 from repro.service.cache import (
     ResultCache,
@@ -166,62 +169,46 @@ def _process_job_task(runner: Callable, task: tuple) -> dict:
     frozen ``float64`` array and its labels (an array pickles as one
     buffer, bit-exactly, so the child's cache key and costs match the
     parent's), the method/options, the originating request's
-    ``trace_id``, and whether to collect events.
+    ``trace_id``, and whether to collect events.  Returns the payload.
 
-    The child runs ``runner`` under a fresh :class:`Recorder` and a
-    :class:`ForwardingMetricsRegistry` temporarily installed as the
-    process-wide default registry, then returns everything the parent
-    needs to make its own exports complete: the payload, the serialized
-    events, the child-clock origin (for re-basing timestamps) and the
-    metric ops.
-
-    A :class:`~repro.obs.progress.ProgressTracker` is bound around the
-    runner whose sink ships each snapshot through
-    :func:`~repro.parallel.executor.emit_slot_progress` -- live
-    telemetry that reaches the parent's ``call()`` *while the solve
-    runs*, each message carrying the child clock reading and origin so
-    the parent can re-base it.  The tracker also records ``bnb.progress``
-    events on the child recorder; those travel once, with the final
-    payload, via the normal event forwarding.
+    Telemetry goes to the parent as ``(events, metric_ops, progress)``
+    bodies (:func:`~repro.parallel.executor.emit_slot_telemetry`), every
+    timestamp relative to the task's start: the ``to_wire`` tuples of a
+    fresh :class:`Recorder` (when collecting), the operations the job's
+    ambient :class:`ForwardingMetricsRegistry` logged since the last
+    body, and a ``time``-stamped progress snapshot or ``None``.
+    Non-final progress reports go out as they fire, so the parent sees a
+    long solve live; the events, the remaining operations and the final
+    report travel in one closing body sent from a ``finally``, so it
+    also arrives when the runner raises.
     """
-    from repro.obs import metrics as _metrics_mod
+    t0 = time.perf_counter()
+
+    def clock() -> float:
+        return time.perf_counter() - t0
 
     values, labels, method, options, trace_id, collect_events = task
-    matrix = DistanceMatrix(values, labels)
-    rec = Recorder() if collect_events else as_recorder(None)
-    clock0 = rec.clock()
+    rec = Recorder(clock) if collect_events else None
     forward = ForwardingMetricsRegistry()
-    previous_registry = _metrics_mod.REGISTRY
-    _metrics_mod.REGISTRY = forward
+    final = [None]  # the tracker's closing report joins the closing body
 
-    def _ship(snapshot: dict, _clock=rec.clock) -> None:
-        emit_slot_progress({
-            "snapshot": snapshot,
-            "time": _clock(),
-            "clock0": clock0,
-            "trace_id": trace_id,
-        })
+    def sink(snapshot: dict) -> None:
+        stamped = dict(snapshot, time=clock())
+        if snapshot["final"]:
+            final[0] = stamped
+        else:
+            emit_slot_telemetry(((), forward.drain_ops(), stamped))
 
-    tracker = ProgressTracker(
-        recorder=rec if collect_events else None, sink=_ship
-    )
+    tracker = ProgressTracker(recorder=rec, sink=sink)
     try:
-        with trace_context(trace_id), progress_context(tracker):
-            payload = runner(
-                matrix, method, options, rec if collect_events else None
-            )
+        with trace_context(trace_id), metrics_context(forward), progress_context(tracker):
+            return runner(DistanceMatrix(values, labels), method, options, rec)
     finally:
-        _metrics_mod.REGISTRY = previous_registry
-    return {
-        "payload": payload,
-        "events": (
-            [event.to_json() for event in rec.events]
-            if collect_events else []
-        ),
-        "clock0": clock0,
-        "metric_ops": forward.drain_ops(),
-        "trace_id": trace_id,
-    }
+        emit_slot_telemetry((
+            [event.to_wire() for event in rec.events] if collect_events else (),
+            forward.drain_ops(),
+            final[0],
+        ))
 
 
 class Scheduler:
@@ -574,7 +561,7 @@ class Scheduler:
                         metrics=self.metrics,
                         sink=functools.partial(self._publish_progress, job),
                     )
-                    with progress_context(tracker):
+                    with progress_context(tracker), metrics_context(self.metrics):
                         return self._runner(
                             job.matrix, job.method, job.options, rec
                         )
@@ -630,12 +617,13 @@ class Scheduler:
     def _run_in_slot(
         self, slot: WorkerSlot, job: Job, rec: NullRecorder
     ) -> dict:
-        """Ship one solve to the worker process and absorb its telemetry.
+        """Ship one solve to the worker process and return its payload.
 
         Raises :class:`WorkerCrashed` / :class:`WorkerTimeout` /
-        :class:`RemoteTaskError` (the caller maps them onto job states);
-        on success the child's events are re-based into the parent trace
-        and its metric mutations replayed into the parent registry.
+        :class:`RemoteTaskError` (the caller maps them onto job states).
+        The child's telemetry goes to :meth:`_absorb_telemetry` as it
+        arrives, anchored at the dispatch time -- the earliest
+        parent-side instant the child could have started.
         """
         task = (
             job.matrix.values,
@@ -645,63 +633,47 @@ class Scheduler:
             job.trace_id,
             rec.enabled,
         )
-        t_dispatch = rec.clock()
-        on_progress = functools.partial(
-            self._absorb_progress, job, t_dispatch
-        )
+        absorb = functools.partial(self._absorb_telemetry, job, rec.clock())
         try:
-            out = slot.call(
-                task, deadline=job.deadline, on_progress=on_progress
-            )
+            return slot.call(task, deadline=job.deadline, on_telemetry=absorb)
         except WorkerCrashed:
             rec.counter("worker.crashed", worker=slot.worker_id)
             self._m_crashes.inc()
             raise
-        if rec.enabled and out["events"]:
-            # perf_counter origins differ between processes; anchor the
-            # child's clock origin at our dispatch time (the earliest
-            # parent-side instant the child could have started).
-            rec.ingest(out["events"], offset=t_dispatch - out["clock0"])
-        if out["metric_ops"]:
-            replay_metric_ops(self.metrics, out["metric_ops"])
-        return out["payload"]
+
+    def _absorb_telemetry(self, job: Job, anchor: float, body: tuple) -> None:
+        """Land one telemetry body from a slot child (see
+        :func:`_process_job_task`), mid-solve or closing.
+
+        The one place child timestamps are re-based: ``anchor`` (the
+        dispatch time) is added to every event and to the progress
+        ``time``.  Runs on the job's worker thread inside its
+        ``service.job`` span, so ingested root events nest under it.
+        The progress snapshot also sets the ``bnb.*`` gauges here -- the
+        forwarding registry never forwards gauges.
+        """
+        events, metric_ops, progress = body
+        self.recorder.ingest(events, offset=anchor)
+        replay_metric_ops(self.metrics, metric_ops)
+        if progress is None:
+            return
+        self._set_progress(job, progress, anchor + progress["time"])
+        if progress["gap"] is not None:
+            self._m_bnb_gap.set(progress["gap"])
+        self._m_bnb_nps.set(progress["nodes_per_second"])
 
     def _publish_progress(self, job: Job, snapshot: dict) -> None:
         """Thread-backend progress sink: latest snapshot onto the job."""
-        snap = dict(snapshot)
-        snap["time"] = self.recorder.clock()
+        self._set_progress(job, snapshot, self.recorder.clock())
+
+    @staticmethod
+    def _set_progress(job: Job, snapshot: dict, at: float) -> None:
+        """``job.progress`` is ``snapshot`` stamped with the parent-clock
+        ``time`` and the job's trace id."""
+        snap = dict(snapshot, time=at)
         if job.trace_id is not None:
             snap["trace_id"] = job.trace_id
         job.progress = snap
-
-    def _absorb_progress(
-        self, job: Job, t_dispatch: float, message: dict
-    ) -> None:
-        """Process-backend progress sink: a worker snapshot arriving
-        mid-``call()``.  The child's clock reading is re-based onto this
-        process's clock (dispatch time anchors the child's origin, the
-        same offset model event ingestion uses), the job's trace id is
-        stamped, and the parent-side gauges updated -- the forwarding
-        registry never forwards gauges, so this is where ``bnb.gap``
-        goes live during a process-backend solve."""
-        snapshot = message.get("snapshot")
-        if not isinstance(snapshot, dict):
-            return
-        snap = dict(snapshot)
-        child_time = message.get("time")
-        child_clock0 = message.get("clock0")
-        if child_time is not None and child_clock0 is not None:
-            snap["time"] = t_dispatch + (child_time - child_clock0)
-        trace_id = message.get("trace_id") or job.trace_id
-        if trace_id is not None:
-            snap["trace_id"] = trace_id
-        job.progress = snap
-        gap = snap.get("gap")
-        if gap is not None:
-            self._m_bnb_gap.set(gap)
-        nps = snap.get("nodes_per_second")
-        if nps is not None:
-            self._m_bnb_nps.set(nps)
 
     def _verify_receipt(
         self, job: Job, payload: dict

@@ -141,6 +141,16 @@ def _json_object(raw: bytes) -> dict:
     return body
 
 
+def _optional_number(value, name: str, default=None) -> Optional[float]:
+    """A numeric request field; ``None`` or a blank form field is ``default``."""
+    if value in (None, ""):
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise BadRequest(f"'{name}' must be a number: {exc}") from exc
+
+
 def _parse_multipart(raw: bytes, content_type: str) -> dict:
     """Minimal ``multipart/form-data`` parser for ``POST /ingest``.
 
@@ -340,20 +350,21 @@ class _Handler(BaseHTTPRequestHandler):
         options = body.get("options") or {}
         if not isinstance(options, dict):
             raise BadRequest("'options' must be a JSON object")
-        timeout = body.get("timeout")
+        timeout = _optional_number(body.get("timeout"), "timeout")
+        wait_seconds = _optional_number(
+            body.get("wait_seconds"), "wait_seconds", service.wait_seconds
+        )
         verify = body.get("verify", False)
         if not isinstance(verify, bool):
             raise BadRequest("'verify' must be a boolean")
         job = service.scheduler.submit(
             matrix, method, options,
-            timeout=float(timeout) if timeout is not None else None,
+            timeout=timeout,
             trace_id=trace_id,
             verify=verify,
         )
-        wait = body.get("wait", True)
-        if wait:
-            budget = float(body.get("wait_seconds", service.wait_seconds))
-            job.wait(budget)
+        if body.get("wait", True):
+            job.wait(wait_seconds)
         self._send_job(job)
 
     # ------------------------------------------------------------------
@@ -424,11 +435,10 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"invalid 'qc' config: {exc}") from exc
-        timeout = fields.get("timeout")
-        try:
-            timeout = None if timeout in (None, "") else float(timeout)
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"'timeout' must be a number: {exc}") from exc
+        timeout = _optional_number(fields.get("timeout"), "timeout")
+        wait_seconds = _optional_number(
+            fields.get("wait_seconds"), "wait_seconds", service.wait_seconds
+        )
 
         holder: dict = {}
 
@@ -477,15 +487,7 @@ class _Handler(BaseHTTPRequestHandler):
         job = holder["job"]
         job.manifest = manifest.to_json()
         if as_bool(fields.get("wait", True), "wait"):
-            try:
-                budget = float(
-                    fields.get("wait_seconds", service.wait_seconds)
-                )
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    f"'wait_seconds' must be a number: {exc}"
-                ) from exc
-            job.wait(budget)
+            job.wait(wait_seconds)
         self._send_job(job)
 
 

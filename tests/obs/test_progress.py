@@ -388,9 +388,10 @@ class TestCompactJobStream:
                 seen.append(snapshot)
                 super()._publish_progress(job, snapshot)
 
-            def _absorb_progress(self, job, t_dispatch, message):
-                seen.append(message["snapshot"])
-                super()._absorb_progress(job, t_dispatch, message)
+            def _absorb_telemetry(self, job, anchor, body):
+                if body[2] is not None:
+                    seen.append(body[2])
+                super()._absorb_telemetry(job, anchor, body)
 
         with Recording(workers=1, backend=backend) as sched:
             sched.solve(matrix, "compact", timeout=60.0)

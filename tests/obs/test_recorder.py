@@ -3,9 +3,12 @@
 import io
 import itertools
 import json
+import pickle
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_RECORDER,
@@ -215,13 +218,13 @@ class TestIngest:
     """Cross-process event forwarding: ``Recorder.ingest``."""
 
     def _child_events(self):
-        """Events as a worker process would ship them: serialized, with
+        """Events as a worker process would ship them: wire tuples, with
         children recorded (closed) before their parents."""
         child = Recorder(clock=ticking_clock())
         with child.span("outer", n=4):
             with child.span("inner"):
                 child.counter("ticks", 3)
-        return [e.to_json() for e in child.events]
+        return [e.to_wire() for e in child.events]
 
     def test_parent_links_survive_remapping(self):
         parent = Recorder(clock=ticking_clock())
@@ -248,7 +251,76 @@ class TestIngest:
 
     def test_meta_lines_are_skipped(self):
         parent = Recorder()
-        assert parent.ingest([{"event": "meta", "schema": 1}]) == 0
+        assert parent.ingest([("meta", 1)]) == 0
 
     def test_null_recorder_ingests_nothing(self):
-        assert NullRecorder().ingest([{"event": "counter"}]) == 0
+        assert NullRecorder().ingest([("counter",)]) == 0
+
+
+_NAMES = st.sampled_from(["pipeline.node", "bnb.solve", "bnb.nodes", "x"])
+_ATTRS = st.dictionaries(
+    st.sampled_from(["n", "trace_id", "size"]),
+    st.one_of(st.integers(-5, 5), st.text(max_size=3)),
+    max_size=2,
+)
+#: A forest of ``("span", name, attrs, children)`` and
+#: ``("counter", name, value, attrs)`` nodes.
+_FOREST = st.lists(
+    st.recursive(
+        st.tuples(st.just("counter"), _NAMES, st.integers(0, 9), _ATTRS),
+        lambda children: st.tuples(
+            st.just("span"), _NAMES, _ATTRS, st.lists(children, max_size=3)
+        ),
+        max_leaves=12,
+    ),
+    max_size=3,
+)
+
+
+def _record_forest(rec, forest):
+    for node in forest:
+        if node[0] == "span":
+            _, name, attrs, children = node
+            with rec.span(name, **attrs):
+                _record_forest(rec, children)
+        else:
+            _, name, value, attrs = node
+            rec.counter(name, value, **attrs)
+
+
+class TestWireRoundTrip:
+    """A child trace survives ``to_wire`` -> pickle -> ``ingest``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest=_FOREST, anchor=st.integers(-10**6, 10**6).map(lambda k: k / 8))
+    def test_structure_kept_and_every_timestamp_shifted_by_the_anchor(
+        self, forest, anchor
+    ):
+        child = Recorder(clock=ticking_clock())
+        _record_forest(child, forest)
+        wire = pickle.loads(pickle.dumps([e.to_wire() for e in child.events]))
+        parent = Recorder(clock=ticking_clock())
+        with parent.span("service.job") as job:
+            assert parent.ingest(wire, offset=anchor) == len(child.events)
+        sent = child.events
+        landed = parent.events[:-1]  # the service.job span closes last
+        assert len(landed) == len(sent)
+        # Links compared as event positions; a child root (no parent)
+        # must land under the parent's open span.
+        child_index = {e.id: i for i, e in enumerate(sent) if isinstance(e, SpanEvent)}
+        child_index[None] = "root"
+        parent_index = {
+            e.id: i for i, e in enumerate(landed) if isinstance(e, SpanEvent)
+        }
+        parent_index[job.id] = "root"
+        for a, b in zip(sent, landed):
+            assert type(a) is type(b)
+            assert (a.name, a.attrs) == (b.name, b.attrs)
+            if isinstance(a, SpanEvent):
+                assert child_index[a.parent] == parent_index[b.parent]
+                assert (b.start, b.end) == (a.start + anchor, a.end + anchor)
+                assert b.duration == a.duration
+            else:
+                assert child_index[a.span] == parent_index[b.span]
+                assert b.time == a.time + anchor
+                assert b.value == a.value

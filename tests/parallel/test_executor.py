@@ -12,7 +12,7 @@ from repro.parallel.executor import (
     WorkerCrashed,
     WorkerSlot,
     WorkerTimeout,
-    emit_slot_progress,
+    emit_slot_telemetry,
 )
 
 
@@ -23,7 +23,7 @@ def echo_task(task):
 def progressing_task(task):
     """Emit ``task`` progress payloads, then return a final value."""
     for i in range(int(task)):
-        assert emit_slot_progress({"seq": i})
+        assert emit_slot_telemetry({"seq": i})
     return ("final", int(task))
 
 
@@ -145,12 +145,12 @@ class TestDeadline:
 
 
 class TestProgressChannel:
-    """The mid-``call()`` child -> parent progress side channel."""
+    """The mid-``call()`` child -> parent telemetry channel."""
 
     def test_progress_arrives_in_order_before_the_result(self):
         seen = []
         with WorkerSlot(11, progressing_task) as s:
-            result = s.call(5, on_progress=seen.append)
+            result = s.call(5, on_telemetry=seen.append)
         # call() only returns once the final payload lands, so every
         # progress message was delivered (ordered) before the result.
         assert result == ("final", 5)
@@ -165,18 +165,18 @@ class TestProgressChannel:
             raise RuntimeError("observer down")
 
         with WorkerSlot(13, progressing_task) as s:
-            assert s.call(4, on_progress=bad_callback) == ("final", 4)
+            assert s.call(4, on_telemetry=bad_callback) == ("final", 4)
             # The slot survived for the next task, callback and all.
-            assert s.call(1, on_progress=bad_callback) == ("final", 1)
+            assert s.call(1, on_telemetry=bad_callback) == ("final", 1)
 
     def test_emit_outside_a_worker_is_a_noop(self):
-        assert emit_slot_progress({"seq": 0}) is False
+        assert emit_slot_telemetry({"seq": 0}) is False
 
     def test_progress_does_not_leak_across_tasks(self):
         first, second = [], []
         with WorkerSlot(14, progressing_task) as s:
-            s.call(3, on_progress=first.append)
-            s.call(2, on_progress=second.append)
+            s.call(3, on_telemetry=first.append)
+            s.call(2, on_telemetry=second.append)
         assert [p["seq"] for p in first] == [0, 1, 2]
         assert [p["seq"] for p in second] == [0, 1]
 

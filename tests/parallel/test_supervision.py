@@ -17,7 +17,7 @@ from repro.parallel.executor import (
     WorkerCrashed,
     WorkerSlot,
     discard,
-    emit_slot_progress,
+    emit_slot_telemetry,
     run_task,
     select_start_method,
     supervise,
@@ -35,16 +35,16 @@ def raising_task(task):
 
 def progressing_task(task):
     for i in range(int(task)):
-        assert emit_slot_progress({"seq": i})
+        assert emit_slot_telemetry({"seq": i})
     return ("final", int(task))
 
 
-def call_slot(task, arg, on_progress=None):
+def call_slot(task, arg, on_telemetry=None):
     with WorkerSlot(7, task) as slot:
-        return slot.call(arg, on_progress=on_progress)
+        return slot.call(arg, on_telemetry=on_telemetry)
 
 
-def call_one_shot(task, arg, on_progress=None):
+def call_one_shot(task, arg, on_telemetry=None):
     """Run ``task(arg)`` the way ``multiprocess_mut`` runs a worker."""
     ctx = multiprocessing.get_context(select_start_method())
     result_queue = ctx.Queue()
@@ -57,7 +57,7 @@ def call_one_shot(task, arg, on_progress=None):
             {7: proc},
             result_queue,
             what="branch-and-bound worker",
-            on_progress=on_progress,
+            on_telemetry=on_telemetry,
         )
         assert worker_id == 7
         return value
@@ -96,7 +96,7 @@ class TestSupervision:
         seen = []
         # The call returns only once the result landed, so every progress
         # message was delivered, in order, before it.
-        assert call(progressing_task, 5, on_progress=seen.append) == (
+        assert call(progressing_task, 5, on_telemetry=seen.append) == (
             "final", 5
         )
         assert seen == [{"seq": i} for i in range(5)]
@@ -105,6 +105,6 @@ class TestSupervision:
         def bad_callback(_payload):
             raise RuntimeError("observer down")
 
-        assert call(progressing_task, 4, on_progress=bad_callback) == (
+        assert call(progressing_task, 4, on_telemetry=bad_callback) == (
             "final", 4
         )

@@ -239,6 +239,31 @@ def _assert_next_request_answered(conn):
     assert json.loads(data)["status"] == "ok"
 
 
+class TestNumericFields:
+    @pytest.mark.parametrize("field", ["timeout", "wait_seconds"])
+    def test_non_numeric_field_is_400_and_submits_nothing(
+        self, server, conn, matrix, field
+    ):
+        # float() on these fields used to raise past the error handler:
+        # no response at all, and for wait_seconds a job already queued.
+        body = json.loads(_solve_body(matrix))
+        body[field] = "soon"
+        response, data, _ = _exchange(conn, "POST", "/solve", json.dumps(body))
+        assert response.status == 400
+        error = json.loads(data)
+        assert error["error"] == "bad_request"
+        assert field in error["detail"]
+        assert server.scheduler.stats()["submitted"] == 0
+        _assert_next_request_answered(conn)
+
+    def test_null_fields_take_the_defaults(self, conn, matrix):
+        body = json.loads(_solve_body(matrix))
+        body.update(timeout=None, wait_seconds=None)
+        response, data, _ = _exchange(conn, "POST", "/solve", json.dumps(body))
+        assert response.status == 200
+        assert json.loads(data)["state"] == "done"
+
+
 class TestKeepAliveLatency:
     def test_persistent_connection_answers_without_delayed_ack_stall(
         self, conn, matrix
