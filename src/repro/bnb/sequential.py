@@ -34,7 +34,7 @@ __all__ = ["SearchStats", "BBUResult", "BranchAndBoundSolver", "exact_mut"]
 _EPS = 1e-9
 
 #: How many loop iterations the solver lets pass between
-#: ``ProgressTracker.tick`` calls when no incumbent change forces one.
+#: ``ProgressTracker.tick`` calls.
 #: The tracker's own time gate is authoritative; this stride only
 #: bounds how often the hot loop pays the Python call (at the solver's
 #: typical tens of thousands of nodes per second, 64 still checks the
@@ -235,7 +235,6 @@ class BranchAndBoundSolver:
         if tracker is not None:
             tracker.start()
         progress_countdown = 0
-        progress_last_ub = upper_bound
 
         while open_nodes:
             if self.node_limit is not None and stats.nodes_expanded >= self.node_limit:
@@ -243,13 +242,11 @@ class BranchAndBoundSolver:
                 break
             if tracker is not None:
                 # Strided: pay the tick() call only every
-                # _PROGRESS_TICK_STRIDE iterations -- or at once when
-                # the incumbent moved, so min_delta gating stays prompt.
+                # _PROGRESS_TICK_STRIDE iterations.
                 progress_countdown -= 1
-                if progress_countdown <= 0 or upper_bound != progress_last_ub:
+                if progress_countdown <= 0:
                     tracker.tick(upper_bound, stats, open_nodes)
                     progress_countdown = _PROGRESS_TICK_STRIDE
-                    progress_last_ub = upper_bound
             node = open_nodes.pop()
             threshold = upper_bound + keep_margin
             if node.lower_bound > threshold:

@@ -7,20 +7,12 @@ merging.  The result records one :class:`SubproblemReport` per reduced
 matrix so the experiments can show *where* the time went -- the paper's
 headline claim is precisely that the largest reduced matrix is far
 smaller than the input.
-
-Independent subproblems can solve concurrently: sibling compact sets
-share no species, so their reduced matrices are disjoint and the
-``subproblem_workers`` thread pool fans the descent out across them
-(threads, not processes -- the branch kernel's numpy work releases the
-GIL, and the multiprocess engine already covers process-level scaling).
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, List, Optional, Tuple
 
@@ -109,11 +101,6 @@ class CompactSetTreeBuilder:
         Reduced matrices larger than this fall back to UPGMM instead of
         exact search (``None`` disables the fallback).  Pure-Python
         branch-and-bound is exponential, so benchmarks cap this.
-    subproblem_workers:
-        Number of threads used to solve independent sibling subproblems
-        concurrently (default 1 = fully sequential recursion).  Sibling
-        compact sets are disjoint, so any value produces the identical
-        tree, cost and report list; only wall-clock changes.
     solver_options:
         Extra keyword arguments for the branch-and-bound solver
         (``lower_bound``, ``relationship_33``...).
@@ -123,12 +110,7 @@ class CompactSetTreeBuilder:
         nested ``pipeline.reduce`` / ``pipeline.solve`` /
         ``pipeline.merge`` spans (plus ``pipeline.discover`` for the
         hierarchy scan), and the underlying solver emits its search
-        counters.  Defaults to the no-op recorder.  With
-        ``subproblem_workers > 1`` the spans of concurrently solved
-        subtrees are recorded from pool threads, so they parent to the
-        worker thread's own stack rather than the submitting node's span
-        (the :class:`~repro.obs.recorder.Recorder` is thread-safe and
-        span nesting is per-thread by design).
+        counters.  Defaults to the no-op recorder.
     """
 
     def __init__(
@@ -138,7 +120,6 @@ class CompactSetTreeBuilder:
         solver: str = "bnb",
         cluster: Optional[ClusterConfig] = None,
         max_exact_size: Optional[int] = None,
-        subproblem_workers: int = 1,
         recorder: Optional[NullRecorder] = None,
         **solver_options,
     ) -> None:
@@ -148,15 +129,10 @@ class CompactSetTreeBuilder:
             )
         if solver not in ("bnb", "parallel", "upgmm"):
             raise ValueError(f"unknown solver {solver!r}")
-        if subproblem_workers < 1:
-            raise ValueError(
-                f"subproblem_workers must be >= 1, got {subproblem_workers}"
-            )
         self.reduction = reduction
         self.solver = solver
         self.cluster = cluster or ClusterConfig()
         self.max_exact_size = max_exact_size
-        self.subproblem_workers = subproblem_workers
         self.solver_options = solver_options
         self.recorder = as_recorder(recorder)
         # Solver objects are stateless across solves; construct once here
@@ -172,9 +148,7 @@ class CompactSetTreeBuilder:
             self._parallel_solver = ParallelBranchAndBound(
                 self.cluster, recorder=self.recorder, **solver_options
             )
-        # Placeholder labels only need to be unique; itertools.count is
-        # atomic under the GIL, so concurrent subtree solves never mint
-        # the same name.
+        # Placeholder labels only need to be unique within one build.
         self._placeholder_ids = itertools.count()
 
     # ------------------------------------------------------------------
@@ -239,11 +213,8 @@ class CompactSetTreeBuilder:
         """Solve one internal hierarchy node; returns the subtree plus its
         reports.
 
-        Reports come back in deterministic pre-order -- this node's own
-        reduced matrix first, then each placeholder child's reports in
-        label order -- regardless of how many worker threads solved the
-        children, so ``CompactResult.reports`` never depends on thread
-        scheduling.
+        Reports come back in pre-order: this node's own reduced matrix
+        first, then each placeholder child's reports in label order.
 
         The descent is an explicit stack of open nodes, not recursion,
         so a hierarchy nested a thousand levels deep solves within the
@@ -266,8 +237,6 @@ class CompactSetTreeBuilder:
                     top.span.__exit__(None, None, None)
                     if stack:
                         stack[-1].absorb(tree, top.reports)
-                elif self.subproblem_workers > 1 and len(top.children) > 1:
-                    self._solve_children_pooled(matrix, top)
                 else:
                     stack.append(self._open_node(matrix, child))
         except BaseException:
@@ -314,34 +283,6 @@ class CompactSetTreeBuilder:
             span.__exit__(*sys.exc_info())
             raise
         return _OpenNode(node, span, group_tree, [report], compound)
-
-    def _solve_children_pooled(
-        self, matrix: DistanceMatrix, top: "_OpenNode"
-    ) -> None:
-        """Solve every placeholder child of ``top`` on a thread pool.
-
-        Sibling compact sets are disjoint, so their subtrees solve
-        independently.  A fresh pool per node (rather than one shared
-        bounded pool) means a descent inside a worker can never deadlock
-        waiting on its own pool's slots.  Each submission runs in its
-        own copy of the ambient context (a Context can only be entered
-        by one thread at a time), which keeps the trace id visible in
-        pool threads.
-        """
-        workers = min(self.subproblem_workers, len(top.children))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self._solve_node,
-                    matrix,
-                    child,
-                )
-                for _, child in top.children
-            ]
-            solved = [future.result() for future in futures]
-        for subtree, sub_reports in solved:
-            top.absorb(subtree, sub_reports)
 
     def _solve_matrix(
         self, reduced: DistanceMatrix, members: Tuple[int, ...]

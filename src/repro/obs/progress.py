@@ -15,9 +15,10 @@ Design constraints, mirroring the recorder's:
    ``if tracker is not None``; with no tracker installed the hot loop
    allocates nothing and calls nothing.
 2. **Throttled when on.**  ``tick()`` fires a report only when the
-   reporting interval has elapsed *or* the incumbent improved by more
-   than ``min_delta`` -- the expensive work (the open-list lower-bound
-   scan, the event/gauge emission) happens only on firing reports.
+   reporting interval has elapsed -- the expensive work (the open-list
+   lower-bound scan, the event/gauge emission) happens only on firing
+   reports, and a search sends at most one report per interval however
+   often its incumbent improves.
 3. **Deterministic when tested.**  The clock is injectable, so the
    gating behaviour is reproducible in tests.
 
@@ -117,7 +118,7 @@ class ProgressTracker:
     """Throttled incumbent/bound snapshot stream for one B&B solve.
 
     The solver calls :meth:`tick` once per loop iteration (cheap: one
-    clock read and two comparisons when gated closed) and :meth:`final`
+    clock read and one comparison when gated closed) and :meth:`final`
     once when the search settles (always fires, so every tracked solve
     yields at least one snapshot).  A tracker is single-job state;
     create a fresh one per job.  A job of several solves drives it
@@ -126,10 +127,8 @@ class ProgressTracker:
     Parameters
     ----------
     interval_seconds:
-        Minimum seconds between interval-triggered reports.
-    min_delta:
-        An incumbent improvement larger than this fires a report
-        immediately, regardless of the interval.
+        Minimum seconds between reports; the first report comes one
+        interval after :meth:`start`.
     recorder:
         Optional :class:`~repro.obs.recorder.Recorder`; firing reports
         emit ``bnb.progress`` counter events (value 1, snapshot attrs).
@@ -145,7 +144,6 @@ class ProgressTracker:
 
     __slots__ = (
         "interval_seconds",
-        "min_delta",
         "recorder",
         "sink",
         "clock",
@@ -155,7 +153,6 @@ class ProgressTracker:
         "_nps_gauge",
         "_t0",
         "_next_report",
-        "_last_incumbent",
         "_best_lb",
     )
 
@@ -163,7 +160,6 @@ class ProgressTracker:
         self,
         *,
         interval_seconds: float = 0.25,
-        min_delta: float = 0.0,
         recorder=None,
         metrics=None,
         sink: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -172,7 +168,6 @@ class ProgressTracker:
         if interval_seconds < 0:
             raise ValueError("interval_seconds must be >= 0")
         self.interval_seconds = float(interval_seconds)
-        self.min_delta = float(min_delta)
         self.recorder = recorder
         self.sink = sink
         self.clock = clock
@@ -193,7 +188,6 @@ class ProgressTracker:
             self._nps_gauge = None
         self._t0: Optional[float] = None
         self._next_report = -math.inf
-        self._last_incumbent = math.inf
         self._best_lb = -math.inf
 
     # ------------------------------------------------------------------
@@ -206,7 +200,7 @@ class ProgressTracker:
             self._next_report = self._t0 + self.interval_seconds
 
     def tick(self, incumbent: float, stats, open_nodes) -> None:
-        """One inner-loop heartbeat; reports only when a gate opens.
+        """One inner-loop heartbeat; reports once the interval elapsed.
 
         ``stats`` is the solver's ``SearchStats`` (read for
         ``nodes_expanded`` / ``nodes_created``); ``open_nodes`` the live
@@ -216,13 +210,7 @@ class ProgressTracker:
         if self._t0 is None:
             self.start()
         now = self.clock()
-        # Gate closed while the interval hasn't elapsed and the incumbent
-        # hasn't improved by more than min_delta (>=: an unchanged
-        # incumbent never fires on the delta gate).
-        if (
-            now < self._next_report
-            and incumbent >= self._last_incumbent - self.min_delta
-        ):
+        if now < self._next_report:
             return
         self._report(incumbent, stats, open_nodes, now, final=False)
 
@@ -247,7 +235,6 @@ class ProgressTracker:
         self, incumbent: float, stats, open_nodes, now: float, *, final: bool
     ) -> None:
         self._next_report = now + self.interval_seconds
-        self._last_incumbent = incumbent
         elapsed = now - self._t0
         # The global lower bound is the weakest open node's; scanned only
         # here (a firing report), never per tick.  Clamped monotone
@@ -311,10 +298,7 @@ class SubsolveProgress:
     Bind it (via :func:`progress_context`) around the solves; the solver
     drives it exactly like a :class:`ProgressTracker`:
 
-    * :meth:`tick` reports only when the job tracker's interval gate is
-      open.  The incumbent-delta gate is skipped: each sub-solve has its
-      own matrix, so a cheaper incumbent than the last sub-solve's is no
-      improvement.
+    * :meth:`tick` reports when the job tracker's interval has elapsed.
     * Reports carry counters summed over the finished sub-solves plus the
       running one; incumbent and lower bound are the running sub-solve's.
     * :meth:`final` never closes the stream.  It adds the finished
@@ -338,18 +322,12 @@ class SubsolveProgress:
         self.tracker._best_lb = -math.inf
 
     def tick(self, incumbent: float, stats, open_nodes) -> None:
-        tracker = self.tracker
-        if tracker._t0 is None:
-            tracker.start()
-        now = tracker.clock()
-        if now < tracker._next_report:
-            return
         done = self._done
         totals = _Counts(
             done.nodes_expanded + stats.nodes_expanded,
             done.nodes_created + stats.nodes_created,
         )
-        tracker._report(incumbent, totals, open_nodes, now, final=False)
+        self.tracker.tick(incumbent, totals, open_nodes)
 
     def final(self, incumbent: float, stats, open_nodes=()) -> None:
         """Fold a finished sub-solve into the totals; reports nothing."""

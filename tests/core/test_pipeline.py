@@ -266,44 +266,6 @@ class TestOptions:
         assert is_valid_ultrametric_tree(result.tree)
 
 
-class TestSubproblemWorkers:
-    def report_key(self, report):
-        return (report.members, report.size, report.solver, report.cost)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_threaded_matches_sequential(self, workers):
-        from repro.tree.newick import to_newick
-
-        m = hierarchical_matrix([[3, 3], [3, 3]], seed=12)
-        sequential = CompactSetTreeBuilder().build(m)
-        threaded = CompactSetTreeBuilder(
-            subproblem_workers=workers
-        ).build(m)
-        assert threaded.cost == sequential.cost
-        assert to_newick(threaded.tree) == to_newick(sequential.tree)
-        # The report list is deterministic pre-order, independent of how
-        # the thread pool scheduled the sibling subtrees.
-        assert [self.report_key(r) for r in threaded.reports] == [
-            self.report_key(r) for r in sequential.reports
-        ]
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="subproblem_workers"):
-            CompactSetTreeBuilder(subproblem_workers=0)
-
-    def test_spans_recorded_from_pool_threads(self):
-        recorder = Recorder()
-        m = hierarchical_matrix([[3, 2], [3, 2]], seed=13)
-        result = CompactSetTreeBuilder(
-            subproblem_workers=4, recorder=recorder
-        ).build(m)
-        # Still exactly one solve span per report, even when siblings
-        # solved concurrently on worker threads.
-        assert len(recorder.spans("pipeline.solve")) == len(result.reports)
-        spans = [s for s in recorder.spans() if s.name in _NODE_SPANS]
-        _assert_node_children_in_order(spans)
-
-
 class TestDeepHierarchy:
     """One compact set per level: 1199 nested nodes at n = 1200."""
 
@@ -316,13 +278,10 @@ class TestDeepHierarchy:
             result.tree, m, reported_cost=result.cost, method="compact"
         ) == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_traced_chain_keeps_span_nesting(self, workers):
+    def test_traced_chain_keeps_span_nesting(self):
         recorder = Recorder()
         m = nested_chain(400)
-        result = CompactSetTreeBuilder(
-            recorder=recorder, subproblem_workers=workers
-        ).build(m)
+        result = CompactSetTreeBuilder(recorder=recorder).build(m)
         nodes = recorder.spans("pipeline.node")
         assert len(nodes) == 399
         # Each level's node span is the parent of the next level's.

@@ -53,10 +53,14 @@ class FakeNode:
 
 
 class TestGating:
-    def test_first_finite_incumbent_fires_immediately(self):
+    def test_first_report_waits_for_the_interval(self):
         clock = FakeClock()
         tracker = ProgressTracker(interval_seconds=10.0, clock=clock)
         tracker.tick(42.0, FakeStats(1, 2), [FakeNode(40.0)])
+        tracker.tick(41.0, FakeStats(2, 3), [FakeNode(40.0)])
+        assert tracker.reports == 0  # an improvement does not fire early
+        clock.now = 10.0
+        tracker.tick(41.0, FakeStats(3, 4), [FakeNode(40.0)])
         assert tracker.reports == 1
 
     def test_unchanged_incumbent_is_gated_until_interval(self):
@@ -66,10 +70,10 @@ class TestGating:
         for _ in range(50):
             clock.now += 0.01
             tracker.tick(42.0, FakeStats(2, 3), [FakeNode(40.0)])
-        assert tracker.reports == 1  # interval never elapsed
+        assert tracker.reports == 0  # interval never elapsed
         clock.now = 1.5
         tracker.tick(42.0, FakeStats(3, 4), [FakeNode(40.0)])
-        assert tracker.reports == 2
+        assert tracker.reports == 1
 
     def test_interval_rearms_after_each_report(self):
         clock = FakeClock()
@@ -79,22 +83,9 @@ class TestGating:
             clock.now = step * 0.1
             tracker.tick(9.0, FakeStats(step, step), [FakeNode(5.0)])
             reports.append(tracker.reports)
-        # immediate first report at t=0.1, then one per re-armed
-        # interval: t=1.1, 2.1, 3.1, 4.1
-        assert reports[-1] == 5
-
-    def test_incumbent_improvement_beyond_min_delta_fires(self):
-        clock = FakeClock()
-        tracker = ProgressTracker(
-            interval_seconds=100.0, min_delta=0.5, clock=clock
-        )
-        tracker.tick(42.0, FakeStats(), [FakeNode(40.0)])
-        assert tracker.reports == 1
-        clock.now = 0.01
-        tracker.tick(41.8, FakeStats(), [FakeNode(40.0)])  # within delta
-        assert tracker.reports == 1
-        tracker.tick(41.0, FakeStats(), [FakeNode(40.0)])  # beyond delta
-        assert tracker.reports == 2
+        # the clock starts at the first tick (t=0.1), then one report
+        # per re-armed interval: t=1.1, 2.1, 3.1, 4.1
+        assert reports[-1] == 4
 
     def test_infinite_incumbent_does_not_fire_delta_gate(self):
         clock = FakeClock()
@@ -291,9 +282,8 @@ class TestSubsolveView:
         )
         view = tracker.subsolves()
         view.start()
-        # A first (or cheaper) incumbent would open the delta gate of a
-        # plain tracker; sub-solve incumbents of different matrices
-        # must not.
+        # A first (or cheaper) incumbent does not report early; only the
+        # job's interval does.
         view.tick(50.0, FakeStats(1, 2), [])
         view.tick(10.0, FakeStats(2, 3), [])
         assert seen == []
