@@ -50,7 +50,7 @@ import sys
 from pathlib import Path
 from typing import Any, Iterator, List, NamedTuple, Optional, Sequence
 
-from repro.core.api import METHODS, construct_tree
+from repro.core.api import METHODS, construct_tree, method_kind, ultrametric
 from repro.matrix.io import read_csv_matrix, read_phylip, write_phylip
 from repro.obs import (
     ProgressTracker,
@@ -66,6 +66,7 @@ from repro.obs import (
 from repro.parallel.config import ClusterConfig
 from repro.sequences.fasta import read_fasta, write_fasta
 from repro.tree.newick import parse_newick, to_newick
+from repro.verify.differential import DEFAULT_DIFFERENTIAL_METHODS
 
 __all__ = ["main", "build_parser"]
 
@@ -86,8 +87,7 @@ class Outcome(NamedTuple):
     code: int = 0
     payload: Any = None  # the --json document
     lines: Sequence[str] = ()  # the text output
-    trace: Any = None  # the Recorder behind --trace-out
-    chrome: Optional[list] = None  # the events behind --chrome-trace
+    trace: Any = None  # the Recorder behind --trace-out and --chrome-trace
 
 
 def _read_matrix(path):
@@ -137,16 +137,23 @@ def _trace_arg(parser, help: str, announce: bool = False) -> None:
     parser.set_defaults(announce_trace=announce)
 
 
+#: Defaults of the engine options build and profile share.  The parser
+#: leaves each unset unless given, so profile can reject them for a trace.
+_ENGINE_DEFAULTS = {"method": "compact", "reduction": "maximum",
+                    "workers": 16, "max_exact": None}
+
+
 def _engine_args(parser) -> None:
-    parser.add_argument("--method", choices=METHODS, default="compact",
+    parser.add_argument("--method", choices=METHODS, default=argparse.SUPPRESS,
                         help="construction method (default: compact)")
     parser.add_argument(
         "--reduction", choices=("maximum", "minimum", "average"),
-        default="maximum", help="group-matrix reduction for compact methods",
+        default=argparse.SUPPRESS,
+        help="group-matrix reduction for compact methods",
     )
-    parser.add_argument("--workers", type=int, default=16,
+    parser.add_argument("--workers", type=int, default=argparse.SUPPRESS,
                         help="simulated cluster size for parallel methods")
-    parser.add_argument("--max-exact", type=int, default=None,
+    parser.add_argument("--max-exact", type=int, default=argparse.SUPPRESS,
                         help="fall back to UPGMM above this subproblem size")
 
 
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--methods", default=None,
         help="comma-separated construction methods to cross-check "
-             "(default: bnb,parallel-bnb,multiprocess,compact,upgmm)",
+             f"(default: {','.join(DEFAULT_DIFFERENTIAL_METHODS)})",
     )
     verify.add_argument(
         "--seed", type=int, default=0,
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--methods", default=None,
         help="comma-separated methods to cross-check per case "
-             "(default: bnb,parallel-bnb,multiprocess,compact,upgmm)",
+             f"(default: {','.join(DEFAULT_DIFFERENTIAL_METHODS)})",
     )
     fuzz.add_argument("--corpus", default="corpus",
                       help="directory for shrunk failing matrices "
@@ -514,13 +521,14 @@ def _recorder(args: argparse.Namespace):
 
 def _construct(args: argparse.Namespace, matrix, recorder):
     """Run ``--method`` with the engine options build and profile share."""
+    engine = {**_ENGINE_DEFAULTS, **vars(args)}
     options = {}
-    if args.method.startswith("compact"):
-        options["reduction"] = args.reduction
-        if args.max_exact is not None:
-            options["max_exact_size"] = args.max_exact
-    return construct_tree(matrix, args.method, recorder=recorder,
-                          cluster=ClusterConfig(n_workers=args.workers),
+    if method_kind(engine["method"]) == "bracket":  # the compact pipeline
+        options["reduction"] = engine["reduction"]
+        if engine["max_exact"] is not None:
+            options["max_exact_size"] = engine["max_exact"]
+    return construct_tree(matrix, engine["method"], recorder=recorder,
+                          cluster=ClusterConfig(n_workers=engine["workers"]),
                           **options)
 
 
@@ -546,10 +554,7 @@ def _cmd_build(args: argparse.Namespace) -> Outcome:
         elapsed = getattr(
             getattr(result.details, "stats", None), "elapsed_seconds", None
         )
-    if args.method == "nj":
-        newick = result.tree.newick()
-    else:
-        newick = to_newick(result.tree)
+    newick = result.newick()
     if args.newick_out:
         Path(args.newick_out).write_text(newick + "\n")
 
@@ -575,9 +580,13 @@ def _cmd_profile(args: argparse.Namespace) -> Outcome:
         result = _construct(args, matrix, recorder)
         lines = _summary(result, matrix)
         lines += ["", render_profile(recorder.events, min_fraction=min_fraction)]
-        return Outcome(lines=lines, trace=recorder,
-                       chrome=recorder.events if args.chrome_trace else None)
+        return Outcome(lines=lines, trace=recorder)
 
+    given = [name for name in _ENGINE_DEFAULTS if name in vars(args)]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise CLIError(f"{flags}: engine options apply to a matrix "
+                       "input, not a trace", 2)
     events = _load("trace", path)
     if events.warning:
         _note(f"warning: {events.warning}")
@@ -588,14 +597,14 @@ def _cmd_profile(args: argparse.Namespace) -> Outcome:
             return Outcome(lines=[
                 f"no events with trace_id {args.trace_id!r} in {path}"
             ])
-    chrome = shown if args.chrome_trace else None
+    trace = Recorder.of(shown)
     if not any(isinstance(e, SpanEvent) for e in shown):
-        return Outcome(lines=[f"no spans recorded in {path}"], chrome=chrome)
+        return Outcome(lines=[f"no spans recorded in {path}"], trace=trace)
     lines = [f"trace  : {path}"]
     if args.trace_id:
         lines.append(f"trace_id: {args.trace_id}")
     lines += ["", render_profile(shown, min_fraction=min_fraction)]
-    return Outcome(lines=lines, chrome=chrome)
+    return Outcome(lines=lines, trace=trace)
 
 
 def _cmd_compact_sets(args: argparse.Namespace) -> Outcome:
@@ -648,7 +657,7 @@ def _cmd_distances(args: argparse.Namespace) -> Outcome:
 def _ultrametric(args: argparse.Namespace):
     """Load the matrix and build the tree that render and validate show."""
     matrix = _load("matrix", args.matrix)
-    if args.method == "nj":
+    if not ultrametric(args.method):
         raise CLIError(f"{args.command} supports ultrametric methods only")
     return matrix, construct_tree(matrix, args.method)
 
@@ -673,10 +682,8 @@ def _cmd_validate(args: argparse.Namespace) -> Outcome:
 
 
 def _parse_method_list(spec: Optional[str]) -> tuple:
-    from repro.verify.differential import DEFAULT_DIFFERENTIAL_METHODS
-
     if spec is None:
-        return tuple(DEFAULT_DIFFERENTIAL_METHODS)
+        return DEFAULT_DIFFERENTIAL_METHODS
     methods = tuple(m.strip() for m in spec.split(",") if m.strip())
     if not methods:
         raise CLIError("--methods must name at least one method", 2)
@@ -1174,8 +1181,8 @@ def _write_traces(args: argparse.Namespace, outcome: Outcome) -> None:
         if args.announce_trace:
             _note(f"wrote {len(outcome.trace.events)} trace event(s) to "
                   f"{args.trace_out}")
-    if outcome.chrome is not None:
-        trace = chrome_trace_events(outcome.chrome)
+    if outcome.trace is not None and getattr(args, "chrome_trace", None):
+        trace = chrome_trace_events(outcome.trace.events)
         Path(args.chrome_trace).write_text(json.dumps(trace) + "\n")
         _note(f"wrote {len(trace['traceEvents'])} chrome trace event(s) to "
               f"{args.chrome_trace} (open in chrome://tracing or "

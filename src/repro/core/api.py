@@ -2,7 +2,7 @@
 
 The project report promises "an efficient and user-friendly parallel
 system" for biologists; this module is the friendly part.  Every method
-the repository implements is reachable by name:
+is one row of :data:`METHOD_TABLE`, reachable by name:
 
 =================  =========================================================
 ``"compact"``      compact-set decomposition + sequential branch-and-bound
@@ -20,8 +20,10 @@ the repository implements is reachable by name:
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 from repro.bnb.sequential import BranchAndBoundSolver
 from repro.core.pipeline import CompactSetTreeBuilder
@@ -35,24 +37,121 @@ from repro.parallel.config import ClusterConfig
 from repro.parallel.simulator import ParallelBranchAndBound
 
 __all__ = [
-    "ConstructionResult",
-    "construct_tree",
-    "construct_tree_cached",
-    "METHODS",
+    "ConstructionResult", "construct_tree", "construct_tree_cached",
+    "METHODS", "METHOD_TABLE", "Method", "method_kind", "methods_of_kind",
+    "starts_processes", "ultrametric",
 ]
 
-METHODS = (
-    "compact",
-    "compact-parallel",
-    "bnb",
-    "bnb-scalar",
-    "parallel-bnb",
-    "multiprocess",
-    "upgma",
-    "upgmm",
-    "greedy",
-    "nj",
+
+class Method(NamedTuple):
+    """One row of :data:`METHOD_TABLE`.  ``kind`` is what the
+    differential harness checks of the cost: ``exact`` (the optimum),
+    ``bracket`` (in ``[optimum, upgmm]``), ``feasible`` (``d_T >= M``),
+    ``heuristic`` (no promise) or ``additive`` (a non-ultrametric tree).
+    ``run(matrix, cluster, recorder, options)`` returns ``(tree, cost,
+    details)``.  ``own_processes`` marks a method whose master starts
+    worker processes, so it runs on the job thread, not in a slot."""
+
+    name: str
+    kind: str
+    run: Callable[..., tuple]
+    own_processes: bool = False
+
+
+def _compact(solver: str):
+    def run(matrix, cluster, recorder, options):
+        result = CompactSetTreeBuilder(
+            solver=solver, cluster=cluster, recorder=recorder, **options
+        ).build(matrix)
+        return result.tree, result.cost, result
+    return run
+
+
+def _bnb(**fixed):
+    def run(matrix, cluster, recorder, options):
+        result = BranchAndBoundSolver(
+            recorder=recorder, **fixed, **options
+        ).solve(matrix)
+        return result.tree, result.cost, result
+    return run
+
+
+def _parallel_bnb(matrix, cluster, recorder, options):
+    result = ParallelBranchAndBound(
+        cluster, recorder=recorder, **options
+    ).solve(matrix)
+    return result.tree, result.cost, result
+
+
+def _multiprocess(matrix, cluster, recorder, options):
+    from repro.parallel.multiprocess import multiprocess_mut
+
+    n_workers = cluster.n_workers if cluster is not None else 4
+    result = multiprocess_mut(
+        matrix, n_workers=n_workers, recorder=recorder, **options
+    )
+    return result.tree, result.cost, result
+
+
+def _heuristic(span: str, build: Callable):
+    def run(matrix, cluster, recorder, options):
+        with as_recorder(recorder).span(span, n=matrix.n):
+            tree = build(matrix, options)
+        return tree, tree.cost(), None
+    return run
+
+
+#: Every construction method, in the order ``METHODS`` lists them.
+#: ``upgma``, ``upgmm`` and ``nj`` ignore engine options; the others
+#: forward them, so their engines reject unknown ones.
+METHOD_TABLE: Tuple[Method, ...] = (
+    Method("compact", "bracket", _compact("bnb")),
+    Method("compact-parallel", "bracket", _compact("parallel")),
+    Method("bnb", "exact", _bnb()),
+    # The scalar branching loop kept as a live differential reference
+    # for the batched kernel: identical search, per-child clones.
+    Method("bnb-scalar", "exact", _bnb(use_kernel=False)),
+    Method("parallel-bnb", "exact", _parallel_bnb),
+    Method("multiprocess", "exact", _multiprocess, own_processes=True),
+    Method("upgma", "heuristic",
+           _heuristic("heuristic.upgma", lambda m, o: upgma(m))),
+    Method("upgmm", "feasible",
+           _heuristic("heuristic.upgmm", lambda m, o: upgmm(m))),
+    Method("greedy", "feasible",
+           _heuristic("heuristic.greedy",
+                      lambda m, o: greedy_insertion(m, **o))),
+    Method("nj", "additive",
+           _heuristic("heuristic.nj", lambda m, o: neighbor_joining(m))),
 )
+
+METHODS: Tuple[str, ...] = tuple(row.name for row in METHOD_TABLE)
+
+
+def _row(method: Any) -> Optional[Method]:
+    # ``==``, not a dict lookup: any request value (a list, a dict,
+    # ``None``) is then just unknown instead of raising.
+    return next((row for row in METHOD_TABLE if row.name == method), None)
+
+
+def method_kind(method: Any) -> Optional[str]:
+    """``method``'s kind, or ``None`` when it names no method."""
+    return getattr(_row(method), "kind", None)
+
+
+def methods_of_kind(kind: str) -> Tuple[str, ...]:
+    """The methods of one kind, in table order."""
+    return tuple(row.name for row in METHOD_TABLE if row.kind == kind)
+
+
+def ultrametric(method: Any) -> bool:
+    """Whether ``method``'s tree is ultrametric (and so verifiable and
+    written by ``to_newick``): every kind but ``additive``."""
+    return method_kind(method) != "additive"
+
+
+def starts_processes(method: Any) -> bool:
+    """Whether ``method`` starts worker processes of its own."""
+    return getattr(_row(method), "own_processes", False)
 
 
 @dataclass
@@ -82,6 +181,15 @@ class ConstructionResult:
         if self.verification is None:
             return None
         return not self.verification
+
+    def newick(self, precision: int = 6) -> str:
+        """The tree as Newick text; an additive tree has its own writer,
+        which ignores ``precision``."""
+        if not ultrametric(self.method):
+            return self.tree.newick()
+        from repro.tree.newick import to_newick
+
+        return to_newick(self.tree, precision=precision)
 
 
 def construct_tree(
@@ -117,97 +225,37 @@ def construct_tree(
     a serving process sees per-method engine latency without any
     per-request wiring.
     """
-    if method not in METHODS:
+    row = _row(method)
+    if row is None:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     registry = as_metrics(metrics)
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     try:
-        result = _dispatch(matrix, method, cluster, recorder, options)
+        tree, cost, details = row.run(matrix, cluster, recorder, options)
     finally:
         registry.histogram(
             "solve.seconds",
             "Engine latency of construct_tree, per method.",
             labelnames=("method",),
-        ).observe(_time.perf_counter() - t0, method=method)
-    if verify and method != "nj":
-        from repro.verify.oracles import run_oracles
-
-        result.verification = run_oracles(
-            result.tree,
-            matrix,
-            reported_cost=result.cost,
-            method=method,
-            recorder=recorder,
-            metrics=registry,
-        )
+        ).observe(time.perf_counter() - t0, method=method)
+    result = ConstructionResult(tree, cost, method, details)
+    if verify and ultrametric(method):
+        _verify(result, matrix, recorder, registry)
     return result
 
 
-def _dispatch(
-    matrix: DistanceMatrix,
-    method: str,
-    cluster: Optional[ClusterConfig],
-    recorder: Optional[NullRecorder],
-    options: dict,
-) -> ConstructionResult:
-    if method == "compact":
-        builder = CompactSetTreeBuilder(
-            solver="bnb", recorder=recorder, **options
-        )
-        result = builder.build(matrix)
-        return ConstructionResult(result.tree, result.cost, method, result)
-    if method == "compact-parallel":
-        builder = CompactSetTreeBuilder(
-            solver="parallel", cluster=cluster, recorder=recorder, **options
-        )
-        result = builder.build(matrix)
-        return ConstructionResult(result.tree, result.cost, method, result)
-    if method == "bnb":
-        result = BranchAndBoundSolver(recorder=recorder, **options).solve(matrix)
-        return ConstructionResult(result.tree, result.cost, method, result)
-    if method == "bnb-scalar":
-        # The scalar branching loop kept as a live differential reference
-        # for the batched kernel: identical search, per-child clones.
-        result = BranchAndBoundSolver(
-            recorder=recorder, use_kernel=False, **options
-        ).solve(matrix)
-        return ConstructionResult(result.tree, result.cost, method, result)
-    if method == "parallel-bnb":
-        solver = ParallelBranchAndBound(cluster, recorder=recorder, **options)
-        result = solver.solve(matrix)
-        return ConstructionResult(result.tree, result.cost, method, result)
-    if method == "multiprocess":
-        from repro.parallel.multiprocess import multiprocess_mut
+def _verify(result: ConstructionResult, matrix, recorder, registry) -> None:
+    """Land the result oracles' findings on ``result.verification``."""
+    from repro.verify.oracles import run_oracles
 
-        n_workers = cluster.n_workers if cluster is not None else 4
-        mp_result = multiprocess_mut(
-            matrix, n_workers=n_workers, recorder=recorder, **options
-        )
-        return ConstructionResult(
-            mp_result.tree, mp_result.cost, method, mp_result
-        )
-    rec = as_recorder(recorder)
-    if method == "upgma":
-        with rec.span("heuristic.upgma", n=matrix.n):
-            tree = upgma(matrix)
-        return ConstructionResult(tree, tree.cost(), method)
-    if method == "upgmm":
-        with rec.span("heuristic.upgmm", n=matrix.n):
-            tree = upgmm(matrix)
-        return ConstructionResult(tree, tree.cost(), method)
-    if method == "greedy":
-        with rec.span("heuristic.greedy", n=matrix.n):
-            tree = greedy_insertion(matrix, **options)
-        return ConstructionResult(tree, tree.cost(), method)
-    if method == "nj":
-        with rec.span("heuristic.nj", n=matrix.n):
-            tree = neighbor_joining(matrix)
-        return ConstructionResult(tree, tree.cost(), method)
-    raise ValueError(
-        f"unknown method {method!r}; choose from {METHODS}"
-    )  # pragma: no cover - construct_tree validates first
+    result.verification = run_oracles(
+        result.tree,
+        matrix,
+        reported_cost=result.cost,
+        method=result.method,
+        recorder=recorder,
+        metrics=registry,
+    )
 
 
 def construct_tree_cached(
@@ -245,11 +293,12 @@ def construct_tree_cached(
     from repro.service.cache import cache_key, cached_solve, result_payload
     from repro.tree.newick import parse_newick
 
-    if method == "nj":
-        return construct_tree(
-            matrix, method, cluster=cluster, recorder=recorder,
-            metrics=metrics, verify=verify, **options
-        )
+    build = functools.partial(
+        construct_tree, matrix, method, cluster=cluster, recorder=recorder,
+        metrics=metrics, verify=verify, **options
+    )
+    if not ultrametric(method):
+        return build()
     registry = as_metrics(metrics)
     key_options = dict(options)
     if cluster is not None:
@@ -258,10 +307,7 @@ def construct_tree_cached(
 
     def solve() -> dict:
         nonlocal solved
-        solved = construct_tree(
-            matrix, method, cluster=cluster, recorder=recorder,
-            metrics=metrics, verify=verify, **options
-        )
+        solved = build()
         return result_payload(solved, matrix.n)
 
     payload, hit = cached_solve(
@@ -280,14 +326,5 @@ def construct_tree_cached(
         details=payload,
     )
     if verify:
-        from repro.verify.oracles import run_oracles
-
-        result.verification = run_oracles(
-            result.tree,
-            matrix,
-            reported_cost=result.cost,
-            method=result.method,
-            recorder=recorder,
-            metrics=registry,
-        )
+        _verify(result, matrix, recorder, registry)
     return result

@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -289,6 +289,14 @@ class Recorder(NullRecorder):
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 1
+
+    @classmethod
+    def of(cls, events: Iterable[Event]) -> "Recorder":
+        """A recorder holding ``events`` as they are (ids and times kept),
+        e.g. to write a filtered trace back out."""
+        recorder = cls()
+        recorder._events = list(events)
+        return recorder
 
     def _stack_for_thread(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)

@@ -96,17 +96,11 @@ def result_payload(result, n_species: int) -> dict:
     not round it outside the cost oracle's 1e-9 tolerance.  ``nj`` trees
     are additive and use their own Newick writer.
     """
-    if result.method == "nj":
-        newick = result.tree.newick()
-    else:
-        from repro.tree.newick import to_newick
-
-        newick = to_newick(result.tree, precision=12)
     return {
         "method": result.method,
         "n_species": n_species,
         "cost": float(result.cost),
-        "newick": newick,
+        "newick": result.newick(precision=12),
     }
 
 

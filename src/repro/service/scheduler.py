@@ -57,11 +57,13 @@ on-disk cache directory behave identically.
 from __future__ import annotations
 
 import functools
+import os
 import queue as _queue
 import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.core.api import method_kind, starts_processes, ultrametric
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.obs.metrics import (
     ForwardingMetricsRegistry,
@@ -107,13 +109,6 @@ _STOP = object()
 #: Execution backends the scheduler understands.
 BACKENDS = ("thread", "process")
 
-#: Methods whose solves are GIL-bound pure-Python search; these default
-#: to the process backend under :func:`select_backend`.
-PROCESS_DEFAULT_METHODS = frozenset({
-    "compact", "compact-parallel", "bnb", "bnb-scalar",
-    "parallel-bnb", "multiprocess",
-})
-
 #: Tolerance for the on-receipt payload cost re-verification.
 _RECEIPT_EPS = 1e-9
 
@@ -129,13 +124,12 @@ _STATE_STAT = {
 def select_backend(default_method: str) -> str:
     """The execution backend best suited to ``default_method``.
 
-    Exact solvers are GIL-bound pure-Python search, so they get worker
-    *processes*; heuristics are numpy-vectorised (release the GIL) and
-    sub-millisecond, so thread dispatch wins on latency.
+    Exact and bracket solvers are GIL-bound pure-Python search, so they
+    get worker *processes*; heuristics are numpy-vectorised (release the
+    GIL) and sub-millisecond, so thread dispatch wins on latency.
     """
-    return (
-        "process" if default_method in PROCESS_DEFAULT_METHODS else "thread"
-    )
+    kind = method_kind(default_method)
+    return "process" if kind in ("exact", "bracket") else "thread"
 
 
 def solve_payload(
@@ -148,13 +142,16 @@ def solve_payload(
 
     This is the scheduler's default runner.  ``options`` are engine
     keyword arguments; the special key ``workers`` is lifted out into a
-    :class:`ClusterConfig` for the parallel methods.
+    :class:`ClusterConfig` for the parallel methods, capped at
+    ``os.cpu_count()`` for a method that starts its own processes.
     """
     from repro.core.api import construct_tree
     from repro.parallel.config import ClusterConfig
 
     options = dict(options or {})
     workers = options.pop("workers", None)
+    if workers and starts_processes(method):
+        workers = min(int(workers), os.cpu_count() or 1)
     cluster = ClusterConfig(n_workers=int(workers)) if workers else None
     result = construct_tree(
         matrix, method, cluster=cluster, recorder=recorder, **options
@@ -552,7 +549,7 @@ class Scheduler:
 
                 def solve() -> dict:
                     nonlocal tree
-                    if slot is not None and job.method != "multiprocess":
+                    if slot is not None and not starts_processes(job.method):
                         payload = self._run_in_slot(slot, job, rec)
                         tree = self._verify_receipt(job, payload)
                         return payload
@@ -689,7 +686,7 @@ class Scheduler:
         Returns the parsed tree, so verification need not parse the
         same text again, or ``None`` when the check was skipped.
         """
-        if self._runner is not solve_payload or job.method == "nj":
+        if self._runner is not solve_payload or not ultrametric(job.method):
             return None
         newick = payload.get("newick")
         cost = payload.get("cost")
@@ -728,7 +725,7 @@ class Scheduler:
         from repro.tree.newick import parse_newick
         from repro.verify.oracles import ORACLE_NAMES, run_oracles
 
-        if job.method == "nj":
+        if not ultrametric(job.method):
             return {
                 "skipped": "nj trees are additive; the ultrametric "
                            "oracles do not apply",

@@ -27,11 +27,11 @@ vocabulary as the oracles (oracle names ``differential.*``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bnb.enumeration import brute_force_mut
+from repro.core.api import METHODS, methods_of_kind, ultrametric
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.verify.oracles import Oracle, Violation, run_oracles
 
@@ -51,18 +51,16 @@ __all__ = [
 #: (``repro.bnb.search._KERNEL_MIN_SPECIES``) and ``bnb-scalar`` with the
 #: per-child reference loop, so every differential run at that size
 #: doubles as a kernel-vs-scalar equivalence check.
-EXACT_METHODS: Tuple[str, ...] = (
-    "bnb", "bnb-scalar", "parallel-bnb", "multiprocess"
-)
+EXACT_METHODS: Tuple[str, ...] = methods_of_kind("exact")
 
 #: Methods whose cost is proven to land in ``[exact, upgmm]``.
-BRACKET_METHODS: Tuple[str, ...] = ("compact", "compact-parallel")
+BRACKET_METHODS: Tuple[str, ...] = methods_of_kind("bracket")
 
 #: Heuristics that always return a *feasible* tree (``d_T >= M``), hence
 #: an upper bound on the optimum.  UPGMA is deliberately absent: it is
 #: the classical average-linkage heuristic and routinely violates
 #: feasibility, which is the paper's very motivation for UPGMM.
-FEASIBLE_HEURISTICS: Tuple[str, ...] = ("upgmm", "greedy")
+FEASIBLE_HEURISTICS: Tuple[str, ...] = methods_of_kind("feasible")
 
 #: The default differential matrix: all four engines plus the feasible
 #: heuristics that define the bracket's upper end.
@@ -126,11 +124,7 @@ class DifferentialReport:
     @property
     def exact_cost(self) -> Optional[float]:
         """The agreed exact optimum (first exact engine that ran)."""
-        for method in EXACT_METHODS:
-            outcome = self.outcomes.get(method)
-            if outcome is not None and outcome.cost is not None:
-                return outcome.cost
-        return None
+        return next(iter(_costs(self.outcomes, EXACT_METHODS).values()), None)
 
     def to_json(self) -> dict:
         return {
@@ -151,6 +145,12 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _costs(outcomes, methods: Sequence[str]) -> Dict[str, float]:
+    """The cost of each of ``methods`` that ran and reported one."""
+    return {m: outcomes[m].cost for m in methods
+            if m in outcomes and outcomes[m].cost is not None}
+
+
 def run_differential(
     matrix: DistanceMatrix,
     methods: Sequence[str] = DEFAULT_DIFFERENTIAL_METHODS,
@@ -167,7 +167,7 @@ def run_differential(
     them.  ``recorder``/``metrics`` are forwarded to the oracle layer
     (``verify.oracle`` spans, ``verify.violations`` counters).
     """
-    from repro.core.api import METHODS, construct_tree
+    from repro.core.api import construct_tree
 
     build = build_fn or construct_tree
     unknown = [m for m in methods if m not in METHODS]
@@ -192,7 +192,7 @@ def run_differential(
             )
             continue
         outcome.cost = float(result.cost)
-        if method != "nj":  # NJ trees are additive, not ultrametric
+        if ultrametric(method):
             outcome.violations.extend(
                 run_oracles(
                     result.tree,
@@ -219,12 +219,11 @@ def run_differential(
 def _cross_checks(
     outcomes: Dict[str, MethodOutcome], certified: Optional[float] = None
 ) -> List[Violation]:
+    def slack(bound: float) -> float:
+        return BRACKET_RTOL * max(1.0, abs(bound))
+
     violations: List[Violation] = []
-    exact = {
-        m: outcomes[m].cost
-        for m in EXACT_METHODS
-        if m in outcomes and outcomes[m].cost is not None
-    }
+    exact = _costs(outcomes, EXACT_METHODS)
     if len(exact) >= 2:
         reference_method, reference = next(iter(exact.items()))
         for method, cost in exact.items():
@@ -258,57 +257,39 @@ def _cross_checks(
                     )
                 )
     optimum = min(exact.values()) if exact else None
+    feasible = _costs(outcomes, FEASIBLE_HEURISTICS)
+    upper_method, upper = next(iter(feasible.items()), (None, None))
 
-    upper = None
-    upper_method = None
-    for m in FEASIBLE_HEURISTICS:
-        cost = outcomes.get(m) and outcomes[m].cost
-        if cost is not None:
-            upper, upper_method = cost, m
-            break
-
-    for m in BRACKET_METHODS:
-        outcome = outcomes.get(m)
-        if outcome is None or outcome.cost is None:
-            continue
-        tolerance_floor = (
-            BRACKET_RTOL * max(1.0, abs(optimum)) if optimum is not None
-            else math.inf
-        )
-        if optimum is not None and outcome.cost < optimum - tolerance_floor:
+    for m, cost in _costs(outcomes, BRACKET_METHODS).items():
+        if optimum is not None and cost < optimum - slack(optimum):
             violations.append(
                 Violation(
                     "differential.bracket",
-                    f"{m} cost {outcome.cost:.12g} below the exact optimum "
+                    f"{m} cost {cost:.12g} below the exact optimum "
                     f"{optimum:.12g} (infeasible or buggy)",
-                    {"method": m, "cost": outcome.cost, "optimum": optimum},
+                    {"method": m, "cost": cost, "optimum": optimum},
                 )
             )
-        if upper is not None and outcome.cost > upper + BRACKET_RTOL * max(
-            1.0, abs(upper)
-        ):
+        if upper is not None and cost > upper + slack(upper):
             violations.append(
                 Violation(
                     "differential.bracket",
-                    f"{m} cost {outcome.cost:.12g} above the {upper_method} "
+                    f"{m} cost {cost:.12g} above the {upper_method} "
                     f"upper bound {upper:.12g}",
-                    {"method": m, "cost": outcome.cost, "upper": upper},
+                    {"method": m, "cost": cost, "upper": upper},
                 )
             )
 
     if optimum is not None:
-        for m in FEASIBLE_HEURISTICS:
-            outcome = outcomes.get(m)
-            if outcome is None or outcome.cost is None:
-                continue
-            if outcome.cost < optimum - BRACKET_RTOL * max(1.0, abs(optimum)):
+        for m, cost in feasible.items():
+            if cost < optimum - slack(optimum):
                 violations.append(
                     Violation(
                         "differential.optimality",
                         f"feasible heuristic {m} reported cost "
-                        f"{outcome.cost:.12g} below the exact optimum "
+                        f"{cost:.12g} below the exact optimum "
                         f"{optimum:.12g}",
-                        {"method": m, "cost": outcome.cost, "optimum": optimum},
+                        {"method": m, "cost": cost, "optimum": optimum},
                     )
                 )
     return violations

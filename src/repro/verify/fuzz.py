@@ -17,6 +17,7 @@ failure is reproducible from the seed it prints.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -273,27 +274,6 @@ class FuzzReport:
         }
 
 
-def _case_checker(
-    methods: Sequence[str],
-    case_seed: int,
-    *,
-    metamorphic: bool,
-    build_fn: Optional[Callable],
-) -> Callable[[DistanceMatrix], List[Violation]]:
-    """A deterministic per-case verifier (shared by first run and shrink)."""
-
-    def check(m: DistanceMatrix) -> List[Violation]:
-        return verify_matrix(
-            m,
-            methods,
-            seed=case_seed,
-            metamorphic=metamorphic,
-            build_fn=build_fn,
-        )
-
-    return check
-
-
 def _repro_command(corpus_path: str, methods: Sequence[str]) -> str:
     return (
         f"repro-mut verify {corpus_path} --methods {','.join(methods)}"
@@ -350,9 +330,11 @@ def run_fuzz(
         case_seed = seed + iteration
         report.cases_run += 1
         report.families[family] = report.families.get(family, 0) + 1
-        check = _case_checker(
-            methods,
-            case_seed,
+        # One deterministic verifier for the first run and the shrink.
+        check = functools.partial(
+            verify_matrix,
+            methods=methods,
+            seed=case_seed,
             metamorphic=iteration % metamorphic_every == 0,
             build_fn=build_fn,
         )

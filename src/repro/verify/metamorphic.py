@@ -56,9 +56,11 @@ class MetamorphicRelation:
     """Base class: transform the input, solve again, check the relation."""
 
     name = "metamorphic"
+    #: Set when the relation relies on the optimum (exact methods only).
+    exact_only = False
 
     def applies_to(self, method: str) -> bool:
-        return True
+        return not self.exact_only or method in EXACT_METHODS
 
     def check(
         self,
@@ -98,9 +100,7 @@ class PermutationRelation(MetamorphicRelation):
     """
 
     name = "metamorphic.permutation"
-
-    def applies_to(self, method: str) -> bool:
-        return method in EXACT_METHODS
+    exact_only = True
 
     def check(self, matrix, method, build, rng) -> List[Violation]:
         permutation = [int(i) for i in rng.permutation(matrix.n)]
@@ -167,12 +167,10 @@ class SubsetRelation(MetamorphicRelation):
     """
 
     name = "metamorphic.subset"
+    exact_only = True
 
     def __init__(self, min_keep: int = 3) -> None:
         self.min_keep = int(min_keep)
-
-    def applies_to(self, method: str) -> bool:
-        return method in EXACT_METHODS
 
     def check(self, matrix, method, build, rng) -> List[Violation]:
         if matrix.n <= self.min_keep:

@@ -12,13 +12,13 @@ import time
 
 import pytest
 
+from repro.core.api import METHOD_TABLE
 from repro.matrix.generators import clustered_matrix, random_metric_matrix
 from repro.obs import MetricsRegistry, Recorder
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobState
 from repro.service.scheduler import (
     BACKENDS,
-    PROCESS_DEFAULT_METHODS,
     Scheduler,
     select_backend,
 )
@@ -48,7 +48,15 @@ def scripted_runner(matrix, method, options, recorder):
 
 class TestBackendSelection:
     def test_exact_methods_default_to_process(self):
-        for method in PROCESS_DEFAULT_METHODS:
+        searching = [
+            row.name for row in METHOD_TABLE
+            if row.kind in ("exact", "bracket")
+        ]
+        assert searching == [
+            "compact", "compact-parallel", "bnb", "bnb-scalar",
+            "parallel-bnb", "multiprocess",
+        ]
+        for method in searching:
             assert select_backend(method) == "process"
 
     def test_heuristics_default_to_thread(self):

@@ -433,3 +433,47 @@ class TestQueuedTimeoutPromptness:
         finally:
             gate.set()
             sched.shutdown()
+
+
+class TestMethodLookups:
+    """Every scheduler lookup of a job's method accepts any request value;
+    only ``construct_tree`` rejects an unknown one, with its own text."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_any_method_value_fails_with_the_unknown_method_text(
+        self, matrix, backend
+    ):
+        from repro.core.api import METHODS
+
+        values = ["astrology", [1], {"a": 1}, None, 5]
+        with Scheduler(workers=1, backend=backend) as sched:
+            jobs = [sched.submit(matrix, value) for value in values]
+            for job in jobs:
+                job.wait(60.0)
+        for value, job in zip(values, jobs):
+            assert job.state == JobState.FAILED
+            assert job.error == (
+                f"ValueError: unknown method {value!r}; "
+                f"choose from {METHODS}"
+            )
+
+
+class TestMultiprocessWorkerCap:
+    def test_workers_capped_at_the_core_count(self, matrix):
+        from unittest import mock
+
+        from repro.core.api import construct_tree
+        from repro.service.cache import cache_key
+
+        recorder = Recorder()
+        with mock.patch("os.cpu_count", return_value=1), Scheduler(
+            workers=1, recorder=recorder
+        ) as sched:
+            job = sched.submit(matrix, "multiprocess", {"workers": 6})
+            payload = job.result(60.0)
+        assert job.state == JobState.DONE
+        assert payload["cost"] == construct_tree(matrix, "bnb").cost
+        (solve,) = recorder.spans("mp.solve")
+        assert solve.attrs["workers"] == 1
+        # The cache key is what the client sent, not the capped value.
+        assert job.key == cache_key(matrix, "multiprocess", {"workers": 6})

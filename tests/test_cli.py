@@ -497,6 +497,32 @@ class TestProfileTraceId:
         with pytest.raises(SystemExit, match="--trace-id"):
             main(["profile", matrix_file, "--trace-id", "x"])
 
+    def test_trace_out_writes_the_shown_events_unchanged(
+        self, two_trace_file, tmp_path
+    ):
+        from repro.obs import filter_by_trace_id, read_jsonl
+
+        out = tmp_path / "a.jsonl"
+        assert main([
+            "profile", str(two_trace_file), "--trace-id", "req-a",
+            "--trace-out", str(out),
+        ]) == 0
+        shown = filter_by_trace_id(read_jsonl(two_trace_file), "req-a")
+        assert list(read_jsonl(out)) == shown
+
+    @pytest.mark.parametrize("flag", [
+        ["--method", "compact"], ["--reduction", "maximum"],
+        ["--workers", "16"], ["--max-exact", "4"],
+    ])
+    def test_engine_options_rejected_for_trace_input(
+        self, two_trace_file, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", str(two_trace_file), *flag])
+        assert exc.value.code == 2
+        assert f"error: {flag[0]}: engine options apply to a matrix input" \
+            in capsys.readouterr().err
+
 
 class TestServeTraceArgs:
     def test_streaming_args_registered(self):

@@ -60,6 +60,10 @@ CASES = [
     ("profile_trace_id_unmatched", f"profile {_TWO} --trace-id nope"),
     ("profile_from_trace", "profile {tmp}/two.dat --from-trace"),
     ("profile_trace_chrome", f"profile {_TWO} --chrome-trace {{tmp}}/c2.json"),
+    ("profile_trace_out", f"profile {_TWO} --trace-id req-a "
+                          "--trace-out {tmp}/a.jsonl"),
+    ("profile_trace_engine_options", f"profile {_TWO} --method bnb "
+                                     "--max-exact 4"),
     ("profile_empty_trace", "profile {tmp}/empty.jsonl"),
     ("profile_trace_id_needs_trace", f"profile {_M} --trace-id x"),
     ("profile_missing_trace", "profile {tmp}/missing.jsonl"),
