@@ -1,6 +1,6 @@
-"""B&B branching benchmark: batched kernel vs the scalar reference loop.
+"""B&B branching benchmark: branching kernel vs the scalar reference loop.
 
-Times a full sequential Algorithm-BBU solve with the batched branching
+Times a full sequential Algorithm-BBU solve with the branching
 kernel (:class:`repro.bnb.kernel.BranchKernel`, the production path)
 against the same solve with ``use_kernel=False`` (the original per-child
 scalar loop, kept as the differential oracle), verifies the two searches
@@ -32,17 +32,21 @@ overhaul is a >= 5x speedup (ratio of medians) on the 26-species full
 solve; ``acceptance.speedup_26`` records the measured value (absent in
 ``--smoke`` mode, which caps every workload).
 
-The ``crossover`` sweep times direct ``bnb`` with the kernel forced on
-at every size against the scalar loop, at 3-16 species on
-``random_metric_matrix`` and ``hierarchical_matrix`` batteries, with
-the two sides interleaved.  It reports each side's median and
-quartiles and the scalar/kernel time ratio per size, and the smallest
-size from which the kernel wins on both families.  Engines build the
-kernel only from :data:`repro.bnb.search._KERNEL_MIN_SPECIES` species,
-set from this table.  The sweep also asserts that the two paths agree
-bit for bit at every size -- cost, Newick and every ``SearchStats``
-field -- so ``--smoke`` (a short sweep) keeps the kernel checked below
-the crossover, where the engines no longer run it.
+The ``crossover`` sweep times direct ``bnb`` on three branching paths
+per size: the clone-every-position ``child()`` reference
+(``use_kernel=False``), the kernel with Python tables and the kernel
+with NumPy tables, each table builder forced at every size.  It runs
+``random_metric_matrix`` and ``hierarchical_matrix`` batteries solved
+to optimality at 3-16 species and capped at ``SWEEP_NODE_LIMIT``
+expansions from 18 to 40 species, the paths interleaved.  It reports
+each path's median and quartiles, the scalar/NumPy and Python/NumPy
+time ratios per size, and the smallest size from which NumPy tables
+win on both families.  Engines switch from Python to NumPy tables at
+:data:`repro.bnb.search._KERNEL_MIN_SPECIES`, set from this table.
+The sweep also asserts that the three paths agree bit for bit at
+every size -- cost, Newick and every ``SearchStats`` field -- so
+``--smoke`` (every size, fewer matrices and one repeat) keeps each
+path checked where the engines no longer run it.
 
 The report also measures the cost of *live progress telemetry*
 (``progress_overhead``): the first workload is re-solved with a
@@ -71,6 +75,7 @@ import time
 from pathlib import Path
 
 from repro.bnb import search
+from repro.bnb.kernel import MAX_BATCH_SPECIES
 from repro.bnb.search import SearchStats
 from repro.bnb.sequential import exact_mut
 from repro.matrix.generators import hierarchical_matrix, random_metric_matrix
@@ -91,13 +96,29 @@ SMOKE_WORKLOADS = (
 #: Interleaved kernel/scalar pairs per full workload.
 WORKLOAD_REPEATS = 3
 
-#: Crossover sweep: species counts, matrix seeds per family and size,
-#: and interleaved kernel/scalar pairs per size.
+#: Crossover sweep: species counts solved to optimality, larger counts
+#: capped at ``SWEEP_NODE_LIMIT`` expansions (every path expands the
+#: same nodes, so the capped times compare per-expansion speed),
+#: matrix seeds per family and size, and interleaved repeats per size.
 SWEEP_SIZES = tuple(range(3, 17))
+SWEEP_CAPPED_SIZES = (18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40)
+SWEEP_NODE_LIMIT = 300
 SWEEP_SEEDS = tuple(range(8))
+SWEEP_CAPPED_SEEDS = tuple(range(4))
 SWEEP_REPEATS = 20
+SWEEP_CAPPED_REPEATS = 6
 SMOKE_SWEEP_SEEDS = tuple(range(2))
 SMOKE_SWEEP_REPEATS = 1
+
+#: The branching paths the sweep times: name -> (``use_kernel``, the
+#: ``_KERNEL_MIN_SPECIES`` in force).  ``scalar`` is the clone-every-
+#: position ``child()`` reference, ``python`` and ``numpy`` the kernel
+#: with each table builder forced at every size.
+PATHS = {
+    "scalar": (False, None),
+    "python": (True, MAX_BATCH_SPECIES + 1),
+    "numpy": (True, 0),
+}
 
 
 def _hierarchical_spec(n):
@@ -121,10 +142,11 @@ STATS_FIELDS = tuple(
 
 
 @contextlib.contextmanager
-def kernel_at_every_size():
-    """Let ``use_kernel=True`` build the kernel below the crossover too."""
+def kernel_min_species(value):
+    """Run with ``_KERNEL_MIN_SPECIES`` set to ``value`` (``None``: as is)."""
     saved = search._KERNEL_MIN_SPECIES
-    search._KERNEL_MIN_SPECIES = 0
+    if value is not None:
+        search._KERNEL_MIN_SPECIES = value
     try:
         yield
     finally:
@@ -158,73 +180,95 @@ def summary(samples):
     }
 
 
-def run_crossover(sizes, seeds, repeats) -> dict:
-    """Kernel-vs-scalar timing per size; raises if the paths disagree."""
-    rows = []
-    for n in sizes:
-        for family, make in SWEEP_FAMILIES.items():
-            matrices = [make(n, seed) for seed in seeds]
-            seconds = {True: [], False: []}
-            first = {}
-            for repeat in range(repeats):
-                for use_kernel in (True, False)[:: 1 if repeat % 2 else -1]:
-                    with kernel_at_every_size():
-                        t0 = time.perf_counter()
-                        results = [
-                            exact_mut(m, use_kernel=use_kernel)
-                            for m in matrices
-                        ]
-                        seconds[use_kernel].append(time.perf_counter() - t0)
-                    first.setdefault(use_kernel, results)
-            if list(map(search_digest, first[True])) != list(
-                map(search_digest, first[False])
-            ):
-                raise AssertionError(
-                    f"kernel and scalar searches differ at n={n} on {family}"
-                )
-            ratios = [
-                scalar / kernel
-                for kernel, scalar in zip(seconds[True], seconds[False])
-            ]
-            row = {
-                "n": n,
-                "family": family,
-                "matrices": len(matrices),
-                "repeats": repeats,
-                "nodes_expanded": sum(
-                    r.stats.nodes_expanded for r in first[True]
-                ),
-                "kernel_ms": summary([t * 1e3 for t in seconds[True]]),
-                "scalar_ms": summary([t * 1e3 for t in seconds[False]]),
-                "scalar_over_kernel": summary(ratios),
-            }
-            rows.append(row)
-            print(
-                f"crossover n={n:2d} {family:13s} "
-                f"kernel={row['kernel_ms']['median']:8.2f} ms  "
-                f"scalar={row['scalar_ms']['median']:8.2f} ms  "
-                f"scalar/kernel={row['scalar_over_kernel']['median']:5.2f} "
-                f"(IQR {row['scalar_over_kernel']['iqr']:.2f})"
+def _sweep_size(n, family, matrices, repeats, node_limit) -> dict:
+    """One sweep row: each path's times; raises if the paths disagree."""
+    seconds = {name: [] for name in PATHS}
+    first = {}
+    names = list(PATHS)
+    for repeat in range(repeats):
+        # Rotate which path goes first, so drift hits every path.
+        for name in names[repeat % 3:] + names[:repeat % 3]:
+            use_kernel, min_species = PATHS[name]
+            with kernel_min_species(min_species):
+                t0 = time.perf_counter()
+                results = [
+                    exact_mut(m, use_kernel=use_kernel, node_limit=node_limit)
+                    for m in matrices
+                ]
+                seconds[name].append(time.perf_counter() - t0)
+            first.setdefault(name, list(map(search_digest, results)))
+    for name in ("python", "numpy"):
+        if first[name] != first["scalar"]:
+            raise AssertionError(
+                f"{name} tables and scalar searches differ at n={n} "
+                f"on {family}"
             )
-    # The smallest size from which the kernel's median time beats the
-    # scalar loop's on every family at every larger size too.
+    row = {
+        "n": n,
+        "family": family,
+        "matrices": len(matrices),
+        "repeats": repeats,
+        "node_limit": node_limit,
+        "nodes_expanded": sum(
+            digest[2][STATS_FIELDS.index("nodes_expanded")]
+            for digest in first["numpy"]
+        ),
+    }
+    for name in PATHS:
+        row[f"{name}_ms"] = summary([t * 1e3 for t in seconds[name]])
+    for name in ("scalar", "python"):
+        row[f"{name}_over_numpy"] = summary([
+            mine / numpy
+            for mine, numpy in zip(seconds[name], seconds["numpy"])
+        ])
+    print(
+        f"crossover n={n:2d} {family:13s} "
+        + "  ".join(
+            f"{name}={row[f'{name}_ms']['median']:8.2f} ms" for name in PATHS
+        )
+        + f"  python/numpy={row['python_over_numpy']['median']:5.2f} "
+        f"(IQR {row['python_over_numpy']['iqr']:.2f})"
+    )
+    return row
+
+
+def run_crossover(sizes, capped_sizes, seeds, capped_seeds, repeats,
+                  capped_repeats) -> dict:
+    """Scalar, Python-table and NumPy-table timing per size."""
+    rows = []
+    plan = [(n, seeds, repeats, None) for n in sizes] + [
+        (n, capped_seeds, capped_repeats, SWEEP_NODE_LIMIT)
+        for n in capped_sizes
+    ]
+    for n, n_seeds, n_repeats, node_limit in plan:
+        for family, make in SWEEP_FAMILIES.items():
+            matrices = [make(n, seed) for seed in n_seeds]
+            rows.append(
+                _sweep_size(n, family, matrices, n_repeats, node_limit)
+            )
+    # The smallest size from which NumPy tables' median time beats
+    # Python tables' on every family at every larger size too.
     measured = None
-    for n in sorted(sizes, reverse=True):
+    for n in sorted({row["n"] for row in rows}, reverse=True):
         if all(
-            row["scalar_over_kernel"]["median"] > 1.0
+            row["python_over_numpy"]["median"] > 1.0
             for row in rows if row["n"] == n
         ):
             measured = n
         else:
             break
     print(
-        f"kernel wins from n={measured}; engines build it from "
+        f"numpy tables win from n={measured}; engines use them from "
         f"n={search._KERNEL_MIN_SPECIES}"
     )
     return {
         "sizes": list(sizes),
+        "capped_sizes": list(capped_sizes),
+        "node_limit": SWEEP_NODE_LIMIT,
         "seeds": list(seeds),
+        "capped_seeds": list(capped_seeds),
         "repeats": repeats,
+        "capped_repeats": capped_repeats,
         "measured_crossover": measured,
         "kernel_min_species": search._KERNEL_MIN_SPECIES,
         "rows": rows,
@@ -386,13 +430,15 @@ def main(argv=None) -> int:
         report = run(
             SMOKE_WORKLOADS,
             1,
-            (SWEEP_SIZES, SMOKE_SWEEP_SEEDS, SMOKE_SWEEP_REPEATS),
+            (SWEEP_SIZES, SWEEP_CAPPED_SIZES, SMOKE_SWEEP_SEEDS,
+             SMOKE_SWEEP_SEEDS, SMOKE_SWEEP_REPEATS, SMOKE_SWEEP_REPEATS),
         )
     else:
         report = run(
             FULL_WORKLOADS,
             WORKLOAD_REPEATS,
-            (SWEEP_SIZES, SWEEP_SEEDS, SWEEP_REPEATS),
+            (SWEEP_SIZES, SWEEP_CAPPED_SIZES, SWEEP_SEEDS,
+             SWEEP_CAPPED_SEEDS, SWEEP_REPEATS, SWEEP_CAPPED_REPEATS),
         )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

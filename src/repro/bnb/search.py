@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bnb.bounds import search_context
-from repro.bnb.kernel import BranchKernel, expand_positions
+from repro.bnb.kernel import MAX_BATCH_SPECIES, BranchKernel, expand_positions
 from repro.bnb.relationship import insertion_is_consistent
 from repro.bnb.topology import PartialTopology
 from repro.heuristics.upgma import upgmm, upgmm_rows
@@ -30,13 +30,12 @@ _EPS = 1e-9
 #: crossover with :func:`~repro.heuristics.upgma.upgmm`; see
 #: ``docs/algorithms.md``).
 _ROW_SEED_MAX_SPECIES = 16
-#: Smallest search that branches with the batched kernel.  Below it the
-#: scalar loop is faster: the kernel's NumPy dispatch per expansion
-#: outweighs the few positions it batches.  Both paths make
-#: bit-identical decisions.  Measured crossover: the ``crossover``
-#: table of ``BENCH_bnb.json`` (``benchmarks/bench_bnb.py``; see
-#: ``docs/algorithms.md``).
-_KERNEL_MIN_SPECIES = 9
+#: Smallest search whose kernel builds its tables with NumPy.  Below it
+#: Python tables are faster: NumPy's dispatch per expansion outweighs
+#: the few positions it batches.  Both make bit-identical decisions.
+#: Measured crossover: the ``crossover`` table of ``BENCH_bnb.json``
+#: (``benchmarks/bench_bnb.py``; see ``docs/algorithms.md``).
+_KERNEL_MIN_SPECIES = 40
 
 
 @dataclass
@@ -93,21 +92,24 @@ class Prebranch:
 class SearchCore:
     """Per-solve search state and the shared expansion step.
 
-    Built once per solve (``matrix.n >= 3``).  Everything a worker needs
-    to expand nodes is plain data, so the core pickles for ``spawn``
-    worker processes.
+    Built once per solve from a matrix's row lists and labels (at least
+    3 species); :meth:`from_matrix` takes a :class:`DistanceMatrix`.
+    Everything a worker needs to expand nodes is plain data, so the core
+    pickles for ``spawn`` worker processes.
 
-    ``use_kernel=True`` branches with the batched
-    :class:`~repro.bnb.kernel.BranchKernel` where it pays: searches of
-    at least ``_KERNEL_MIN_SPECIES`` species, up to the kernel's own
-    species limit.  Smaller searches, and every search with
-    ``use_kernel=False``, take the scalar path (:attr:`kernel` is
-    ``None``).  The two paths make bit-identical decisions.
+    ``use_kernel=True`` branches with a
+    :class:`~repro.bnb.kernel.BranchKernel`, bounding every position
+    before building a child: with Python tables below
+    ``_KERNEL_MIN_SPECIES`` species and with NumPy tables from there up
+    to the kernel's species limit.  ``use_kernel=False`` takes the scalar
+    reference loop (:attr:`kernel` is ``None``).  Every path makes
+    bit-identical decisions.
     """
 
     def __init__(
         self,
-        matrix: DistanceMatrix,
+        rows: Sequence[Sequence[float]],
+        labels: Sequence[str],
         *,
         lower_bound: str = "minfront",
         use_maxmin: bool = True,
@@ -118,8 +120,6 @@ class SearchCore:
         # The setup runs on plain row lists: most searches are
         # 3-5 species compact-set subproblems, where NumPy's per-call
         # dispatch would cost more than the search itself.
-        rows = matrix.values.tolist()
-        labels = matrix.labels
         if use_maxmin:
             order = maxmin_order(rows)
             rows = [[rows[i][j] for j in order] for i in order]
@@ -130,13 +130,8 @@ class SearchCore:
         self.half, self.tails = search_context(rows, lower_bound)
         self.check_33 = relationship_33 or enforce_all_33
         self.enforce_all_33 = enforce_all_33
-        kernel = (
-            BranchKernel(self.half)
-            if use_kernel and self.n >= _KERNEL_MIN_SPECIES
-            else None
-        )
-        # Oversized matrices fall back to the scalar path.
-        self.kernel = kernel if kernel is not None and kernel.supported else None
+        vectorised = _KERNEL_MIN_SPECIES <= self.n <= MAX_BATCH_SPECIES
+        self.kernel = BranchKernel(self.half, vectorised) if use_kernel else None
         # The row-list seed's O(n^3) Python scans lose to the vectorised
         # merges above about 16 species; both build the same tree.
         if self.n <= _ROW_SEED_MAX_SPECIES:
@@ -148,6 +143,11 @@ class SearchCore:
         self.stats = SearchStats(
             nodes_created=1, initial_upper_bound=self.seed.cost()
         )
+
+    @classmethod
+    def from_matrix(cls, matrix: DistanceMatrix, **options) -> "SearchCore":
+        """The core of a search over ``matrix``."""
+        return cls(matrix.values.tolist(), matrix.labels, **options)
 
     def expand(
         self, node: PartialTopology, threshold: float

@@ -19,7 +19,7 @@ engines; this module keeps the DFS frontier and the incumbent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.bnb.bounds import LOWER_BOUNDS
 from repro.bnb.search import SearchCore, SearchStats
@@ -29,7 +29,10 @@ from repro.obs.progress import ProgressTracker, current_progress
 from repro.obs.recorder import NullRecorder, as_recorder
 from repro.tree.ultrametric import TreeNode, UltrametricTree
 
-__all__ = ["SearchStats", "BBUResult", "BranchAndBoundSolver", "exact_mut"]
+__all__ = [
+    "SearchStats", "BBUResult", "BranchAndBoundSolver", "exact_mut",
+    "solve_cherry",
+]
 
 _EPS = 1e-9
 
@@ -76,17 +79,16 @@ class BranchAndBoundSolver:
         Abort after expanding this many BBT nodes; the best tree found so
         far is returned with ``optimal=False``.
     use_kernel:
-        Branch with the batched NumPy kernel
-        (:class:`repro.bnb.kernel.BranchKernel`) where it pays: every
-        insertion position's cost and lower bound is evaluated as one
-        array operation and only survivors of the bound cut are
-        materialised.  Searches below the measured crossover
-        (``repro.bnb.search._KERNEL_MIN_SPECIES`` species) and above
-        the kernel's species limit take the scalar path silently.
-        Decisions are bit-identical on both paths (the kernel module
-        documents the proof), so this is purely a speed knob; ``False``
-        forces the original per-child scalar loop everywhere, which also
-        serves as the differential-test reference.
+        Branch with the kernel (:class:`repro.bnb.kernel.BranchKernel`):
+        every insertion position's cost and lower bound is evaluated
+        from one per-node table and only survivors of the bound cut are
+        materialised.  The table is built in plain Python below the
+        measured crossover (``repro.bnb.search._KERNEL_MIN_SPECIES``
+        species) and with NumPy from there.  Decisions are bit-identical
+        on every path (the kernel module documents the proof), so this
+        is purely a speed knob; ``False`` forces the original per-child
+        scalar loop everywhere, which also serves as the
+        differential-test reference.
     collect_all:
         Also gather *every* optimal tree (within ``1e-9`` of the optimum),
         mirroring the papers' "results set".
@@ -146,16 +148,31 @@ class BranchAndBoundSolver:
         self.recorder = as_recorder(recorder)
         self.progress = progress
 
+    def tracker(self) -> Optional[ProgressTracker]:
+        """The explicit ``progress`` tracker, else the ambient one."""
+        return current_progress() if self.progress is None else self.progress
+
     # ------------------------------------------------------------------
     def solve(self, matrix: DistanceMatrix) -> BBUResult:
         """Construct a minimum ultrametric tree for ``matrix``."""
+        return self.solve_rows(matrix.values.tolist(), matrix.labels)
+
+    def solve_rows(
+        self, rows: Sequence[Sequence[float]], labels: Sequence[str]
+    ) -> BBUResult:
+        """:meth:`solve` on a matrix given as row lists and labels.
+
+        The compact pipeline hands over the rows its hierarchy pass
+        built, so no :class:`DistanceMatrix` is made per subproblem.
+        """
         rec = self.recorder
-        if matrix.n == 0:
+        n = len(rows)
+        if n == 0:
             raise ValueError("cannot build a tree over zero species")
         with rec.span(
-            "bnb.solve", n=matrix.n, lower_bound=self.lower_bound
+            "bnb.solve", n=n, lower_bound=self.lower_bound
         ) as solve_span:
-            result = self._solve(matrix)
+            result = self._solve(rows, labels)
             if rec.enabled:
                 stats = result.stats
                 rec.counter("bnb.nodes_created", stats.nodes_created)
@@ -182,39 +199,28 @@ class BranchAndBoundSolver:
                     ) / stats.initial_upper_bound
         return result
 
-    def _solve(self, matrix: DistanceMatrix) -> BBUResult:
+    def _solve(
+        self, rows: Sequence[Sequence[float]], labels: Sequence[str]
+    ) -> BBUResult:
         rec = self.recorder
         start = rec.clock()
         # Resolved once per solve: the explicit tracker, or the ambient
         # one bound by ``progress_context`` (the scheduler / CLI path).
-        tracker = self.progress
-        if tracker is None:
-            tracker = current_progress()
-        n = matrix.n
-        if n <= 2:
-            # A max-min order of two species is the identity.
-            stats = SearchStats(best_cost=0.0)
-            labels = matrix.labels
-            if n == 1:
+        tracker = self.tracker()
+        if len(rows) <= 2:
+            if len(rows) == 1:
                 tree = UltrametricTree.leaf(labels[0])
+                stats = SearchStats(best_cost=0.0)
             else:
-                height = float(matrix.values[0, 1]) / 2.0
-                if height < 0.0:
-                    raise ValueError(f"join height {height} is below a leaf")
-                # The cherry's nodes are built here and wrapped once.
-                tree = UltrametricTree(TreeNode(
-                    height,
-                    [TreeNode(label=labels[0]), TreeNode(label=labels[1])],
-                ))
-                # The two leaf edges, summed as ``tree.cost()`` would.
-                stats.best_cost = height + height
+                tree, stats = solve_cherry(labels, rows[0][1])
                 stats.elapsed_seconds = rec.clock() - start
             if tracker is not None:
                 tracker.final(stats.best_cost, stats)
             return BBUResult(tree, stats.best_cost, stats)
 
         core = SearchCore(
-            matrix,
+            rows,
+            labels,
             lower_bound=self.lower_bound,
             use_maxmin=self.use_maxmin,
             relationship_33=self.relationship_33,
@@ -310,6 +316,26 @@ class BranchAndBoundSolver:
             if not result.all_trees and best is not None:
                 result.all_trees = [tree]
         return result
+
+
+def solve_cherry(
+    labels: Sequence[str], distance: float
+) -> Tuple[UltrametricTree, SearchStats]:
+    """The exact tree of two species and its search counters.
+
+    The one join sits at half their distance (a max-min order of two
+    species is the identity).  Every two-species solve takes its tree
+    and cost from here: :meth:`BranchAndBoundSolver.solve_rows` and the
+    compact pipeline's cherries.  The caller sets ``elapsed_seconds``.
+    """
+    height = float(distance) / 2.0
+    if height < 0.0:
+        raise ValueError(f"join height {height} is below a leaf")
+    tree = UltrametricTree(TreeNode(
+        height, [TreeNode(label=labels[0]), TreeNode(label=labels[1])]
+    ))
+    # The two leaf edges, summed as ``tree.cost()`` would.
+    return tree, SearchStats(best_cost=height + height)
 
 
 def exact_mut(matrix: DistanceMatrix, **solver_options) -> BBUResult:

@@ -7,7 +7,7 @@ is one row of :data:`METHOD_TABLE`, reachable by name:
 =================  =========================================================
 ``"compact"``      compact-set decomposition + sequential branch-and-bound
 ``"compact-parallel"``  compact-set decomposition + simulated-cluster B&B
-``"bnb"``          plain sequential Algorithm BBU (exact, batched kernel)
+``"bnb"``          plain sequential Algorithm BBU (exact, branching kernel)
 ``"bnb-scalar"``   sequential BBU with the scalar branching reference
 ``"parallel-bnb"`` plain simulated-cluster Algorithm BBU (exact)
 ``"multiprocess"`` real multi-core Algorithm BBU (exact, worker processes)
@@ -21,6 +21,7 @@ is one row of :data:`METHOD_TABLE`, reachable by name:
 from __future__ import annotations
 
 import functools
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Tuple
@@ -86,7 +87,10 @@ def _parallel_bnb(matrix, cluster, recorder, options):
 def _multiprocess(matrix, cluster, recorder, options):
     from repro.parallel.multiprocess import multiprocess_mut
 
+    # The one cap on the process count, for default and explicit values
+    # alike: the CLI, the library and the service all come through here.
     n_workers = cluster.n_workers if cluster is not None else 4
+    n_workers = min(n_workers, os.cpu_count() or 1)
     result = multiprocess_mut(
         matrix, n_workers=n_workers, recorder=recorder, **options
     )
@@ -109,7 +113,7 @@ METHOD_TABLE: Tuple[Method, ...] = (
     Method("compact-parallel", "bracket", _compact("parallel")),
     Method("bnb", "exact", _bnb()),
     # The scalar branching loop kept as a live differential reference
-    # for the batched kernel: identical search, per-child clones.
+    # for the branching kernel: identical search, per-child clones.
     Method("bnb-scalar", "exact", _bnb(use_kernel=False)),
     Method("parallel-bnb", "exact", _parallel_bnb),
     Method("multiprocess", "exact", _multiprocess, own_processes=True),

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, List, Optional, Tuple
 
-from repro.bnb.sequential import BranchAndBoundSolver, SearchStats
+from repro.bnb.sequential import BranchAndBoundSolver, SearchStats, solve_cherry
 from repro.core.merge import merge_group_tree
 from repro.core.reduction import REDUCTIONS, reduce_matrix
 from repro.graph.compact_linear import kruskal_hierarchy
@@ -269,15 +269,14 @@ class CompactSetTreeBuilder:
                     labels.append(name)
                     compound.append((name, child))
             with rec.span("pipeline.reduce", size=node.arity):
-                if node.reduced is not None:  # built for "maximum" only
-                    reduced = DistanceMatrix(node.reduced, labels, validate=False)
-                else:
+                rows = node.reduced  # built for "maximum" only
+                if rows is None:
                     groups = [sorted(child.members) for child in node.children]
-                    reduced = reduce_matrix(
+                    rows = reduce_matrix(
                         matrix, groups, labels, mode=self.reduction
-                    )
+                    ).values.tolist()
             group_tree, report = self._solve_matrix(
-                reduced, tuple(sorted(node.members))
+                rows, labels, tuple(sorted(node.members))
             )
         except BaseException:
             span.__exit__(*sys.exc_info())
@@ -285,57 +284,53 @@ class CompactSetTreeBuilder:
         return _OpenNode(node, span, group_tree, [report], compound)
 
     def _solve_matrix(
-        self, reduced: DistanceMatrix, members: Tuple[int, ...]
+        self, rows: List[List[float]], labels: List[str], members: Tuple[int, ...]
     ) -> Tuple[UltrametricTree, SubproblemReport]:
         rec = self.recorder
         solver = self.solver
-        if (
-            self.max_exact_size is not None
-            and reduced.n > self.max_exact_size
-            and solver != "upgmm"
-        ):
+        size = len(rows)
+        if self.max_exact_size is not None and size > self.max_exact_size:
             solver = "upgmm"
-
-        nodes_expanded = 0
-        makespan = 0.0
-        stats: Optional[SearchStats] = None
         t0 = rec.clock()
+        if solver == "bnb" and size == 2 and not rec.enabled:
+            # An untraced cherry skips the solver's span and counters; a
+            # traced one goes through the solver to keep the trace whole.
+            tree, stats = solve_cherry(labels, rows[0][1])
+            stats.elapsed_seconds = rec.clock() - t0
+            tracker = self._bnb_solver.tracker()
+            if tracker is not None:
+                tracker.final(stats.best_cost, stats)
+            return tree, SubproblemReport(
+                members, size, stats.best_cost, stats.elapsed_seconds,
+                solver, stats=stats,
+            )
+        report = SubproblemReport(members, size, 0.0, 0.0, solver)
         with rec.span(
-            "pipeline.solve", solver=solver, size=reduced.n
+            "pipeline.solve", solver=solver, size=size
         ) as solve_span:
-            if solver == "bnb":
-                assert self._bnb_solver is not None
-                result = self._bnb_solver.solve(reduced)
-                tree, cost = result.tree, result.cost
-                nodes_expanded = result.stats.nodes_expanded
-                stats = result.stats
-            elif solver == "parallel":
-                assert self._parallel_solver is not None
-                presult = self._parallel_solver.solve(reduced)
-                tree, cost = presult.tree, presult.cost
-                nodes_expanded = presult.total_nodes_expanded
-                makespan = presult.makespan
-            else:  # upgmm
-                tree = upgmm(reduced)
-                cost = tree.cost()
+            if solver == "upgmm":
+                tree = upgmm(DistanceMatrix(rows, labels, validate=False))
+                report.cost = tree.cost()
+            elif solver == "bnb":
+                result = self._bnb_solver.solve_rows(rows, labels)
+                tree, report.cost, report.stats = (
+                    result.tree, result.cost, result.stats
+                )
+                report.nodes_expanded = result.stats.nodes_expanded
+            else:  # parallel
+                presult = self._parallel_solver.solve(
+                    DistanceMatrix(rows, labels, validate=False)
+                )
+                tree, report.cost = presult.tree, presult.cost
+                report.nodes_expanded = presult.total_nodes_expanded
+                report.simulated_makespan = presult.makespan
         # The report's elapsed time comes from the recorder: the solve
         # span's own duration when tracing, its clock otherwise, so every
         # SubproblemReport matches its span exactly.
         if solve_span.end is not None:
-            elapsed = solve_span.end - solve_span.start
+            report.elapsed_seconds = solve_span.end - solve_span.start
         else:
-            elapsed = rec.clock() - t0
-
-        report = SubproblemReport(
-            members=members,
-            size=reduced.n,
-            cost=cost,
-            elapsed_seconds=elapsed,
-            solver=solver,
-            nodes_expanded=nodes_expanded,
-            simulated_makespan=makespan,
-            stats=stats,
-        )
+            report.elapsed_seconds = rec.clock() - t0
         return tree, report
 
 

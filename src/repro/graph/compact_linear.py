@@ -66,7 +66,7 @@ def _close(parts: List[_Part], members: List[int], reduce: bool) -> HierarchyNod
             row = parts[a][2]
             for b in range(a + 1, k):
                 reduced[a][b] = reduced[b][a] = _cross_max(row, parts[b][3])
-        node.reduced = np.array(reduced)
+        node.reduced = reduced
     return node
 
 
@@ -79,7 +79,8 @@ def kruskal_hierarchy(
     children ordered by smallest member) and the non-trivial compact
     sets in formation order -- the order of the Kruskal merge that
     completed each one.  With ``reduce``, every internal node also
-    carries its ``maximum``-reduced matrix in :attr:`HierarchyNode.reduced`.
+    carries its ``maximum``-reduced matrix, as row lists, in
+    :attr:`HierarchyNode.reduced`.
     """
     n = matrix.n
     if n < 2:

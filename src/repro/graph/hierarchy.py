@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.graph.compact_sets import find_compact_sets
 from repro.matrix.distance_matrix import DistanceMatrix
 
@@ -26,14 +24,15 @@ class HierarchyNode:
 
     ``members`` is the vertex set the node covers; ``children`` partition
     it, ordered by smallest member.  Leaves are singletons.  ``reduced``
-    is the node's ``maximum``-reduced matrix (one row per child, in child
-    order) when :func:`repro.graph.compact_linear.kruskal_hierarchy` was
-    asked for it, else ``None``.
+    is the node's ``maximum``-reduced matrix as row lists (one row per
+    child, in child order) when
+    :func:`repro.graph.compact_linear.kruskal_hierarchy` was asked for
+    it, else ``None``.
     """
 
     members: FrozenSet[int]
     children: List["HierarchyNode"] = field(default_factory=list)
-    reduced: Optional[np.ndarray] = field(
+    reduced: Optional[List[List[float]]] = field(
         default=None, compare=False, repr=False
     )
 

@@ -233,7 +233,7 @@ def _multiprocess_impl(
         )
 
     start = rec.clock()
-    core = SearchCore(
+    core = SearchCore.from_matrix(
         matrix,
         lower_bound=lower_bound,
         relationship_33=relationship_33,

@@ -187,7 +187,7 @@ class ParallelBranchAndBound:
                 initial_upper_bound=seq.stats.initial_upper_bound,
             )
 
-        core = SearchCore(
+        core = SearchCore.from_matrix(
             matrix,
             lower_bound=self.lower_bound,
             use_maxmin=self.use_maxmin,

@@ -57,7 +57,6 @@ on-disk cache directory behave identically.
 from __future__ import annotations
 
 import functools
-import os
 import queue as _queue
 import threading
 import time
@@ -142,16 +141,14 @@ def solve_payload(
 
     This is the scheduler's default runner.  ``options`` are engine
     keyword arguments; the special key ``workers`` is lifted out into a
-    :class:`ClusterConfig` for the parallel methods, capped at
-    ``os.cpu_count()`` for a method that starts its own processes.
+    :class:`ClusterConfig` for the parallel methods (``multiprocess``
+    caps it at ``os.cpu_count()`` itself).
     """
     from repro.core.api import construct_tree
     from repro.parallel.config import ClusterConfig
 
     options = dict(options or {})
     workers = options.pop("workers", None)
-    if workers and starts_processes(method):
-        workers = min(int(workers), os.cpu_count() or 1)
     cluster = ClusterConfig(n_workers=int(workers)) if workers else None
     result = construct_tree(
         matrix, method, cluster=cluster, recorder=recorder, **options

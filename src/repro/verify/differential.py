@@ -3,7 +3,7 @@
 Five engines can answer the same question (four exactly, one within a
 proven bracket), which makes the repository its own oracle:
 
-* the exact engines -- sequential Algorithm BBU with the batched
+* the exact engines -- sequential Algorithm BBU with the
   branching kernel (``bnb``) and with the scalar reference loop
   (``bnb-scalar``), the simulated cluster (``parallel-bnb``) and the
   real multi-core engine (``multiprocess``) -- must agree on the
@@ -47,10 +47,12 @@ __all__ = [
 ]
 
 #: Methods that must find the exact minimum ultrametric tree.
-#: ``bnb`` branches with the batched kernel from 9 species
-#: (``repro.bnb.search._KERNEL_MIN_SPECIES``) and ``bnb-scalar`` with the
-#: per-child reference loop, so every differential run at that size
-#: doubles as a kernel-vs-scalar equivalence check.
+#: ``bnb`` bounds every position with the kernel's tables before it
+#: builds a child (Python tables below
+#: ``repro.bnb.search._KERNEL_MIN_SPECIES`` species, NumPy tables from
+#: there) and ``bnb-scalar`` builds every child with the reference loop,
+#: so every differential run, at any size, doubles as a kernel-vs-scalar
+#: equivalence check.
 EXACT_METHODS: Tuple[str, ...] = methods_of_kind("exact")
 
 #: Methods whose cost is proven to land in ``[exact, upgmm]``.

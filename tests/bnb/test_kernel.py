@@ -7,20 +7,27 @@ the solvers switch branching paths without perturbing a single search
 decision.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bnb import search
-from repro.bnb.bounds import half_matrix
+from repro.bnb.bounds import LOWER_BOUNDS, half_matrix
 from repro.bnb.kernel import (
     MAX_BATCH_SPECIES,
     BranchEvaluation,
     BranchKernel,
     expand_positions,
 )
-from repro.bnb.search import _KERNEL_MIN_SPECIES, SearchCore
+from repro.bnb.search import _KERNEL_MIN_SPECIES, SearchCore, SearchStats
 from repro.bnb.sequential import exact_mut
 from repro.bnb.topology import PartialTopology
+from repro.core.api import construct_tree
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.matrix.generators import (
     hierarchical_matrix,
@@ -48,6 +55,11 @@ MATRICES = [
     random_ultrametric_matrix(8, seed=2),
     hierarchical_matrix([[3, 2], [3]], seed=3, jitter=0.05),
 ]
+
+
+def run_method(matrix, method, options):
+    """The engine result behind ``construct_tree(matrix, method)``."""
+    return construct_tree(matrix, method, **options).details
 
 
 def walk_topologies(matrix, limit=30):
@@ -164,67 +176,99 @@ class TestThresholdScreening:
 
 @pytest.fixture
 def kernel_at_every_size(monkeypatch):
-    """Let ``use_kernel=True`` build the kernel below the crossover too,
-    so a small search compares kernel with scalar, not scalar with
-    scalar."""
+    """Let ``use_kernel=True`` build NumPy tables below the crossover too,
+    so a small search compares NumPy tables with scalar, not Python
+    tables with scalar."""
     monkeypatch.setattr(search, "_KERNEL_MIN_SPECIES", 0)
 
 
 class TestKernelSelection:
-    """Engines branch with the kernel only from the measured crossover."""
+    """Engines bound before they clone at every size; NumPy tables only
+    from the measured crossover."""
 
-    def test_scalar_below_crossover(self):
+    def test_python_tables_below_crossover(self):
         for n in range(3, _KERNEL_MIN_SPECIES):
-            assert SearchCore(random_metric_matrix(n, seed=n)).kernel is None
+            kernel = SearchCore.from_matrix(random_metric_matrix(n, seed=n)).kernel
+            assert isinstance(kernel, BranchKernel)
+            assert not kernel.vectorised
 
     def test_kernel_at_and_above_crossover(self):
         for n in (_KERNEL_MIN_SPECIES, _KERNEL_MIN_SPECIES + 3):
-            core = SearchCore(random_metric_matrix(n, seed=n))
+            core = SearchCore.from_matrix(random_metric_matrix(n, seed=n))
             assert isinstance(core.kernel, BranchKernel)
+            assert core.kernel.vectorised
 
     def test_use_kernel_false_is_scalar_everywhere(self):
         for n in (3, _KERNEL_MIN_SPECIES, _KERNEL_MIN_SPECIES + 3):
-            core = SearchCore(random_metric_matrix(n, seed=n), use_kernel=False)
+            core = SearchCore.from_matrix(random_metric_matrix(n, seed=n), use_kernel=False)
             assert core.kernel is None
 
     def test_fixture_drives_kernel_below_crossover(self, kernel_at_every_size):
-        core = SearchCore(all_ties_matrix(_KERNEL_MIN_SPECIES - 1))
+        core = SearchCore.from_matrix(all_ties_matrix(_KERNEL_MIN_SPECIES - 1))
         assert isinstance(core.kernel, BranchKernel)
+        assert core.kernel.vectorised
+
+    def test_below_crossover_only_survivors_are_built(self, monkeypatch):
+        """Bound before clone: no ``child`` call at all, and one
+        ``child_via_tables`` call per child the bound keeps."""
+        kept = []
+        built = []
+        expand = search.expand_positions
+        via_tables = PartialTopology.child_via_tables
+
+        def counting_expand(*args):
+            children, pruned = expand(*args)
+            kept.append(len(children))
+            return children, pruned
+
+        def counting_via_tables(self, *args):
+            built.append(args[0])
+            return via_tables(self, *args)
+
+        def no_child(self, *args):
+            raise AssertionError("child() called below the crossover")
+
+        monkeypatch.setattr(search, "expand_positions", counting_expand)
+        monkeypatch.setattr(PartialTopology, "child_via_tables", counting_via_tables)
+        monkeypatch.setattr(PartialTopology, "child", no_child)
+        assert 8 < _KERNEL_MIN_SPECIES
+        result = exact_mut(random_metric_matrix(8, seed=3))
+        assert result.stats.nodes_expanded == len(kept) > 0
+        assert len(built) == sum(kept)
+        assert result.stats.nodes_pruned > 0
+
+
+STATS_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SearchStats)
+    if f.name != "elapsed_seconds"
+)
+
+
+def assert_same_search(fast, slow):
+    assert fast.cost == slow.cost
+    assert to_newick(fast.tree) == to_newick(slow.tree)
+    for name in STATS_FIELDS:
+        assert getattr(fast.stats, name) == getattr(slow.stats, name), name
+    assert sorted(map(to_newick, fast.all_trees)) == sorted(
+        map(to_newick, slow.all_trees)
+    )
 
 
 @pytest.mark.usefixtures("kernel_at_every_size")
 class TestSolverEquivalence:
-    """Full searches with and without the kernel, at any size: the
-    kernel is forced on below the crossover (see the fixture)."""
-
-    STATS_FIELDS = (
-        "nodes_created",
-        "nodes_expanded",
-        "nodes_pruned",
-        "nodes_filtered_33",
-        "ub_updates",
-        "initial_upper_bound",
-        "best_cost",
-        "max_open_size",
-        "node_limit_hit",
-    )
-
-    def assert_same_search(self, fast, slow):
-        assert fast.cost == slow.cost
-        assert to_newick(fast.tree) == to_newick(slow.tree)
-        for name in self.STATS_FIELDS:
-            assert getattr(fast.stats, name) == getattr(slow.stats, name), name
+    """Full searches with NumPy tables and scalar, at any size: NumPy
+    tables are forced on below the crossover (see the fixture)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_search_identical(self, seed):
         matrix = random_metric_matrix(9, seed=seed)
-        self.assert_same_search(
+        assert_same_search(
             exact_mut(matrix), exact_mut(matrix, use_kernel=False)
         )
 
     def test_all_ties_tie_breaking_identical(self):
         matrix = all_ties_matrix(7)
-        self.assert_same_search(
+        assert_same_search(
             exact_mut(matrix), exact_mut(matrix, use_kernel=False)
         )
 
@@ -232,16 +276,65 @@ class TestSolverEquivalence:
         matrix = random_metric_matrix(7, seed=5)
         fast = exact_mut(matrix, collect_all=True)
         slow = exact_mut(matrix, use_kernel=False, collect_all=True)
-        self.assert_same_search(fast, slow)
-        assert sorted(to_newick(t) for t in fast.all_trees) == sorted(
-            to_newick(t) for t in slow.all_trees
-        )
+        assert_same_search(fast, slow)
+        assert fast.all_trees
 
     def test_relationship_33_identical(self):
         matrix = random_ultrametric_matrix(8, seed=6)
         fast = exact_mut(matrix, relationship_33=True)
         slow = exact_mut(matrix, relationship_33=True, use_kernel=False)
-        self.assert_same_search(fast, slow)
+        assert_same_search(fast, slow)
+
+
+FAMILIES = {
+    "metric": lambda n, seed: random_metric_matrix(n, seed=seed),
+    "float": lambda n, seed: random_metric_matrix(n, seed=seed, integer=False),
+    "ultrametric": lambda n, seed: random_ultrametric_matrix(n, seed=seed),
+    "ties": lambda n, seed: all_ties_matrix(n, value=float(1 + seed % 5)),
+}
+
+
+class TestPythonTablesProperty:
+    """``bnb`` against ``bnb-scalar`` on small searches, where ``bnb``
+    builds its tables in Python: the same cost, Newick and every
+    ``SearchStats`` field under each lower bound, with the 3-3 filter
+    off, on for the third species and on for every insertion, with
+    ``collect_all`` and without the max-min order."""
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(3, 8),
+        seed=st.integers(0, 2**16),
+        family=st.sampled_from(sorted(FAMILIES)),
+        lower_bound=st.sampled_from(sorted(LOWER_BOUNDS)),
+        filter_33=st.sampled_from(
+            [{}, {"relationship_33": True}, {"enforce_all_33": True}]
+        ),
+        collect_all=st.booleans(),
+        use_maxmin=st.booleans(),
+    )
+    def test_matches_scalar_reference(
+        self, n, seed, family, lower_bound, filter_33, collect_all,
+        use_maxmin,
+    ):
+        assert n < _KERNEL_MIN_SPECIES
+        if family == "ties" and collect_all:
+            # Every tree of an all-ties matrix is optimal: collecting
+            # the 135,135 trees of 8 species takes seconds per path.
+            n = min(n, 6)
+        matrix = FAMILIES[family](n, seed)
+        options = dict(
+            lower_bound=lower_bound, collect_all=collect_all,
+            use_maxmin=use_maxmin, **filter_33
+        )
+        assert_same_search(
+            run_method(matrix, "bnb", options),
+            run_method(matrix, "bnb-scalar", options),
+        )
 
 
 class TestOversizedFallback:
@@ -281,3 +374,12 @@ class TestOversizedFallback:
         assert fast.cost == slow.cost
         assert fast.stats.nodes_expanded == slow.stats.nodes_expanded
         assert fast.stats.nodes_created == slow.stats.nodes_created
+
+
+def test_bench_records_the_table_switch():
+    """``_KERNEL_MIN_SPECIES`` is set from the crossover sweep that
+    ``benchmarks/bench_bnb.py`` records in ``BENCH_bnb.json``."""
+    bench = json.loads(
+        (Path(__file__).resolve().parents[2] / "BENCH_bnb.json").read_text()
+    )
+    assert bench["crossover"]["kernel_min_species"] == _KERNEL_MIN_SPECIES

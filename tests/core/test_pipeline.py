@@ -1,10 +1,13 @@
 """Tests for the end-to-end compact-set pipeline."""
 
+import collections
+import dataclasses
+
 import pytest
 
-from repro.bnb.sequential import exact_mut
+from repro.bnb.sequential import BranchAndBoundSolver, SearchStats, exact_mut
 from repro.core.api import construct_tree
-from repro.core.pipeline import CompactSetTreeBuilder
+from repro.core.pipeline import CompactSetTreeBuilder, SubproblemReport
 from repro.heuristics.upgma import upgmm
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.matrix.generators import (
@@ -14,8 +17,14 @@ from repro.matrix.generators import (
     random_ultrametric_matrix,
 )
 from repro.obs import Recorder
+from repro.obs.progress import (
+    ProgressTracker,
+    SubsolveProgress,
+    progress_context,
+)
 from repro.parallel.config import ClusterConfig
 from repro.tree.checks import dominates_matrix, is_valid_ultrametric_tree
+from repro.tree.newick import to_newick
 from repro.verify.oracles import run_oracles
 from tests.differential_inputs import nested_chain
 
@@ -324,3 +333,120 @@ class TestAggregateSearchStats:
                 assert report.stats is None
             else:
                 assert report.stats is not None
+
+
+#: Every ``SearchStats`` field but the wall time.
+STATS_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SearchStats)
+    if f.name != "elapsed_seconds"
+)
+
+
+def report_digest(report):
+    """A report's fields but the wall times, stats included."""
+    fields = tuple(
+        getattr(report, f.name) for f in dataclasses.fields(SubproblemReport)
+        if f.name not in ("elapsed_seconds", "stats")
+    )
+    stats = report.stats
+    return fields + tuple(getattr(stats, name) for name in STATS_FIELDS)
+
+
+class TestCherries:
+    """An untraced two-species node skips the solver's span and
+    counters; its tree, report, stats and progress must not change."""
+
+    MATRIX = hierarchical_matrix([[6, 6]] * 5, seed=0, jitter=0.3)
+
+    def test_cherry_reports_match_the_solver(self):
+        result = CompactSetTreeBuilder().build(self.MATRIX)
+        nodes = {
+            tuple(sorted(node.members)): node
+            for node in result.hierarchy.internal_nodes()
+        }
+        cherries = [r for r in result.reports if r.size == 2]
+        assert len(cherries) == 23
+        for report in cherries:
+            node = nodes[report.members]
+            solved = BranchAndBoundSolver().solve(
+                DistanceMatrix(node.reduced, ["a", "b"])
+            )
+            reference = SubproblemReport(
+                report.members, 2, solved.cost, 0.0, "bnb",
+                nodes_expanded=solved.stats.nodes_expanded,
+                stats=solved.stats,
+            )
+            assert report_digest(report) == report_digest(reference)
+
+    def test_untraced_build_matches_the_traced_one(self, monkeypatch):
+        """A traced build solves every cherry through the solver, an
+        untraced one directly: the reports and the counts folded into
+        the job's progress tracker must agree."""
+        folded = []
+        final = SubsolveProgress.final
+
+        def recording_final(view, incumbent, stats, open_nodes=()):
+            folded.append(
+                (incumbent, stats.nodes_expanded, stats.nodes_created)
+            )
+            return final(view, incumbent, stats, open_nodes)
+
+        monkeypatch.setattr(SubsolveProgress, "final", recording_final)
+        runs = []
+        for recorder in (None, Recorder()):
+            folded.clear()
+            with progress_context(ProgressTracker()):
+                result = CompactSetTreeBuilder(recorder=recorder).build(
+                    self.MATRIX
+                )
+            runs.append((
+                to_newick(result.tree), result.cost,
+                [report_digest(r) for r in result.reports], list(folded),
+            ))
+        untraced, traced = runs
+        assert len(untraced[3]) == len(result.reports)
+        assert untraced == traced
+
+
+#: Span ``(name, parent name, count)`` and counter totals of a traced
+#: ``compact`` build, as recorded before cherries skipped the solver:
+#: a traced build must keep every span and counter.
+_NESTING = [
+    ("bnb.solve", "pipeline.solve"),
+    ("pipeline.build", None),
+    ("pipeline.discover", "pipeline.build"),
+    ("pipeline.merge", "pipeline.node"),
+    ("pipeline.node", "pipeline.build"),
+    ("pipeline.node", "pipeline.node"),
+    ("pipeline.reduce", "pipeline.node"),
+    ("pipeline.solve", "pipeline.node"),
+]
+TRACE_PINS = {
+    0: ([34, 1, 1, 34, 1, 33, 34, 34], (88, 15, 0, 71, 2)),
+    1: ([34, 1, 1, 34, 1, 33, 34, 34], (68, 11, 0, 54, 3)),
+    2: ([38, 1, 1, 38, 1, 37, 38, 38], (35, 6, 0, 28, 1)),
+}
+_COUNTERS = (
+    "bnb.nodes_created", "bnb.nodes_expanded", "bnb.nodes_filtered_33",
+    "bnb.nodes_pruned", "bnb.ub_updates",
+)
+
+
+@pytest.mark.parametrize("seed", sorted(TRACE_PINS))
+def test_traced_build_keeps_its_spans_and_counters(seed):
+    recorder = Recorder()
+    CompactSetTreeBuilder(recorder=recorder).build(
+        hierarchical_matrix([[6, 6]] * 5, seed=seed, jitter=0.3)
+    )
+    spans = recorder.spans()
+    names = {span.id: span.name for span in spans}
+    nesting = collections.Counter(
+        (span.name, names.get(span.parent)) for span in spans
+    )
+    counts, totals = TRACE_PINS[seed]
+    assert nesting == dict(zip(_NESTING, counts))
+    events = collections.Counter(c.name for c in recorder.counters())
+    assert events == {name: counts[0] for name in _COUNTERS}
+    assert tuple(
+        recorder.counter_total(name) for name in _COUNTERS
+    ) == totals

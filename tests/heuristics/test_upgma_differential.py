@@ -145,7 +145,7 @@ class TestRowSeedMatchesUpgmm:
         # 16 species take the row-list seed, 17 the NumPy one.
         m = random_metric_matrix(n, seed=n, low=1, high=3)
         ordered = apply_maxmin(m)[0] if use_maxmin else m
-        core = SearchCore(m, use_maxmin=use_maxmin)
+        core = SearchCore.from_matrix(m, use_maxmin=use_maxmin)
         assert _shape(core.seed.root) == _shape(upgmm(ordered).root)
 
     def test_single_species(self):

@@ -66,7 +66,7 @@ class TestSearchStats:
     def test_master_prebranch_plus_worker_counters(self):
         recorder = Recorder()
         result = multiprocess_mut(self.MATRIX, n_workers=2, recorder=recorder)
-        master = SearchCore(self.MATRIX)
+        master = SearchCore.from_matrix(self.MATRIX)
         master.prebranch(2 * 2)  # prebranch_factor * n_workers
         workers = recorder.counter_total("mp.nodes_expanded")
         stats = result.stats

@@ -74,6 +74,33 @@ class TestBuild:
         assert "pipeline.build" in names
         assert "pipeline.solve" in names
 
+    def test_multiprocess_capped_at_the_core_count(
+        self, matrix_file, tmp_path, capsys, monkeypatch
+    ):
+        """``--workers`` defaults to 16; on a one-core host the engine
+        solves in the calling process and starts none."""
+        import multiprocessing.process
+
+        from repro.obs import SpanEvent, read_jsonl
+
+        def no_start(process):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", no_start
+        )
+        trace = tmp_path / "events.jsonl"
+        assert main([
+            "build", matrix_file, "--method", "multiprocess",
+            "--trace-out", str(trace),
+        ]) == 0
+        (solve,) = [
+            e for e in read_jsonl(trace)
+            if isinstance(e, SpanEvent) and e.name == "mp.solve"
+        ]
+        assert solve.attrs["workers"] == 1
+
     def test_trace_out_solve_spans_match_reported_elapsed(
         self, matrix_file, tmp_path, capsys
     ):
