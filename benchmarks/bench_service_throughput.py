@@ -16,7 +16,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_throughput.py          # full
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --quick  # CI
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke  # CI
-                           # smoke: subprocess serve + one POST + SIGTERM drain
+                           # smoke: subprocess serve + one POST, the same
+                           # input again with wait false (200 cache hit)
+                           # + SIGTERM drain
                            # (--backend process adds a multiprocess solve)
     PYTHONPATH=src python benchmarks/bench_service_throughput.py --metrics-smoke
                            # subprocess serve + one POST + GET /metrics +
@@ -45,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -391,10 +394,24 @@ def check_child_telemetry(trace_path: Path, trace_id: str) -> None:
     assert node.attrs.get("trace_id") == trace_id, node.attrs
 
 
+def _post_solve(url: str, body: dict) -> tuple:
+    """``POST /solve`` with ``body``; returns ``(status, job record)``."""
+    request = urllib.request.Request(
+        url + "/solve",
+        data=json.dumps(body).encode("utf-8"),
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60.0) as resp:
+        return resp.status, json.loads(resp.read())
+
+
 def smoke(backend: str = None) -> int:
     """CI smoke: subprocess serve, one POST /solve, assert 200, drain.
 
-    With ``backend="process"`` the server also writes ``--trace-out``:
+    The same input is then posted again with ``"wait": false``: a cached
+    input is served at admission, so it must answer ``200`` ``done``
+    ``cache: hit``, not ``202`` pending.  With ``backend="process"`` the server also writes ``--trace-out``:
     the first solve's child telemetry must reach ``/metrics`` (one
     ``solve_seconds`` observation) and, after the drain, the trace
     (:func:`check_child_telemetry`).  It then posts one ``multiprocess``
@@ -417,10 +434,24 @@ def smoke(backend: str = None) -> int:
         ready = proc.stdout.readline().strip()
         print(ready)
         assert "listening on" in ready, f"server never came up: {ready!r}"
-        client = ServiceClient(ready.split()[-1], timeout=60.0)
-        record = client.solve(clustered_matrix([3, 3], seed=1))
+        url = ready.split()[-1]
+        client = ServiceClient(url, timeout=60.0)
+        matrix = clustered_matrix([3, 3], seed=1)
+        record = client.solve(matrix)
         assert record["state"] == "done", record
         print(f"solved: {record['result']['newick']}")
+        status, again = _post_solve(url, {
+            "matrix": {
+                "values": [list(map(float, row)) for row in matrix.values],
+                "labels": matrix.labels,
+            },
+            "wait": False,
+        })
+        assert (status, again["state"], again["cache"]) == (
+            200, "done", "hit"
+        ), (status, again)
+        assert again["result"] == record["result"], again
+        print("async repost of the cached input: 200 done, cache hit")
         if backend == "process":
             needle = 'solve_seconds_count{method="compact"} 1\n'
             assert needle in client.metrics(), f"/metrics lacks {needle!r}"

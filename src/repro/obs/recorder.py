@@ -244,6 +244,9 @@ class NullRecorder:
     def span(self, name: str, **attrs) -> _NullContext:
         return self._null_context
 
+    def detached(self) -> _NullContext:
+        return self._null_context
+
     def add_span(
         self, name: str, start: float, end: float, **attrs
     ) -> None:
@@ -346,6 +349,20 @@ class Recorder(NullRecorder):
                 end=handle.end,
                 attrs=attrs,
             ))
+
+    @contextmanager
+    def detached(self) -> Iterator[None]:
+        """Record the block as if on a fresh thread: the calling
+        thread's open spans are set aside, so spans and counters opened
+        inside become roots (the scheduler serves a cache hit this way
+        on whatever thread admitted it, inside an ``ingest.stage`` span
+        or not)."""
+        outer = self._stack_for_thread()
+        self._local.stack = []
+        try:
+            yield
+        finally:
+            self._local.stack = outer
 
     def add_span(
         self, name: str, start: float, end: float, **attrs

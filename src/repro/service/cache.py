@@ -112,8 +112,13 @@ _OUTCOME_HELP = {
 
 
 def cached_solve(
-    cache, key: str, solve: Callable[[], dict], *, recorder, metrics
-) -> Tuple[dict, bool]:
+    cache,
+    key: str,
+    solve: Optional[Callable[[], dict]],
+    *,
+    recorder,
+    metrics,
+) -> Tuple[Optional[dict], bool]:
     """The payload stored under ``key``, or ``solve()``'s, stored there.
 
     The one read/write path of the result cache: a get, then a
@@ -122,8 +127,18 @@ def cached_solve(
     a miss -- ``solve()`` and a put of the payload it returns.  Returns
     ``(payload, hit)``.  ``cache`` is a :class:`ResultCache` or anything
     with its ``get``/``put`` protocol.
+
+    ``solve=None`` serves hits only: a miss returns ``(None, False)``
+    and counts nothing, so the caller can hand the solve on to a later
+    call that reads and counts it once.  That mode needs a
+    :class:`ResultCache`, whose ``get`` can count a hit alone.
     """
-    payload = cache.get(key)
+    if solve is None:
+        payload = cache.get(key, count_miss=False)
+        if payload is None:
+            return None, False
+    else:
+        payload = cache.get(key)
     outcome = "cache.miss" if payload is None else "cache.hit"
     recorder.counter(outcome, key=key[:12])
     metrics.counter(outcome, _OUTCOME_HELP[outcome]).inc()
@@ -211,11 +226,14 @@ class ResultCache:
         assert self.directory is not None
         return self.directory / f"{key}.json"
 
-    def get(self, key: str, *, count: bool = True) -> Optional[dict]:
+    def get(
+        self, key: str, *, count: bool = True, count_miss: bool = True
+    ) -> Optional[dict]:
         """The payload stored under ``key``, or ``None``.
 
         ``count=False`` peeks without touching the hit/miss statistics
-        (the LRU recency is still updated).
+        (the LRU recency is still updated); ``count_miss=False`` counts
+        a hit but not a miss.
         """
         with self._lock:
             payload = self._entries.get(key)
@@ -228,7 +246,7 @@ class ResultCache:
         if payload is not None:
             self._memory_put(key, payload, count_hit=count)
             return payload
-        if count:
+        if count and count_miss:
             with self._lock:
                 self._misses += 1
         return None

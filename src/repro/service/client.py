@@ -117,8 +117,9 @@ class ServiceClient:
         """``POST /solve``; returns the job record (see ``Job.to_json``).
 
         Pass either a :class:`DistanceMatrix` or ``phylip=`` text.  With
-        ``wait=False`` the record comes back immediately in ``pending``
-        state; poll it with :meth:`job`.  ``trace_id`` is sent as the
+        ``wait=False`` the record comes back immediately, ``pending``
+        unless the input was cached (then ``done``); poll it with
+        :meth:`job`.  ``trace_id`` is sent as the
         ``X-Trace-Id`` header; the server honours it (when sane) and
         stamps it on every event the request causes.  ``verify=True``
         asks the server to run the result oracles on the payload; their

@@ -2,15 +2,20 @@
 
 Responsibilities, in the order a request meets them:
 
-1. **Admission control** -- the queue is bounded; a saturated scheduler
+1. **Caching** -- admission reads the content-addressed
+   :class:`~repro.service.cache.ResultCache` first, and a hit settles
+   on the submitting thread before :meth:`Scheduler.submit` returns: no
+   queue place, no worker, no process slot, so a repeated matrix is
+   answered in microseconds however busy the workers are.  A queued
+   job's worker reads the cache again before solving and stores the
+   payload after.
+2. **Admission control** -- the queue is bounded; a saturated scheduler
    raises the typed :class:`~repro.service.errors.QueueFull` immediately
    instead of blocking, so overload sheds work at the front door.
-2. **Deduplication** -- a submission whose cache key matches a job that
-   is already queued or running returns *that* job instead of enqueuing
-   a copy; any number of callers share one execution and one result.
-3. **Caching** -- each worker consults the content-addressed
-   :class:`~repro.service.cache.ResultCache` before solving and stores
-   the payload after, so repeated matrices are answered in microseconds.
+3. **Deduplication** -- a missed submission whose cache key matches a
+   job that is already queued or running returns *that* job instead of
+   enqueuing a copy; any number of callers share one execution and one
+   result.
 4. **Observability** -- every executed job runs inside a ``service.job``
    span on the shared :class:`repro.obs.Recorder`, with ``cache.hit`` /
    ``cache.miss`` / ``queue.rejected`` / ``queue.deduped`` counters in
@@ -412,46 +417,70 @@ class Scheduler:
         trace_id: Optional[str] = None,
         verify: bool = False,
     ) -> Job:
-        """Queue one construction; returns a :class:`Job` handle.
+        """Run or queue one construction; returns a :class:`Job` handle.
 
-        Raises :class:`SchedulerClosed` after shutdown began and
-        :class:`QueueFull` when the bounded queue is saturated.  A
-        submission identical (same cache key *and* same ``verify``
-        flag) to a queued or running job returns that job -- note the
-        shared job keeps the *first* submission's deadline and the first
-        submission's ``trace_id`` (the events it causes can only carry
-        one id).  ``verify`` does not change the cache key (the solved
-        payload is identical either way); it only asks the worker to run
-        the result oracles on whatever the cache or engine produced.
+        Raises :class:`SchedulerClosed` after shutdown began.  A cached
+        result is served here, on the calling thread: the job settles
+        ``done`` with cache status ``hit`` before this returns, taking
+        no queue place, worker or process slot, and with ``verify`` the
+        oracles run on this thread too.  So a hit is never deduplicated
+        and never refused for a full queue.
+
+        A miss queues, and :class:`QueueFull` is raised when the bounded
+        queue is saturated.  A missed submission identical (same cache
+        key *and* same ``verify`` flag) to a queued or running job
+        returns that job -- note the shared job keeps the *first*
+        submission's deadline and the first submission's ``trace_id``
+        (the events it causes can only carry one id).  ``verify`` does
+        not change the cache key (the solved payload is identical either
+        way); it only asks for the result oracles to run on whatever the
+        cache or engine produced.
+
+        Every accepted submission counts exactly one ``cache.hit``,
+        ``cache.miss`` or ``queue.deduped``: the read here counts only a
+        hit, and a queued job's worker reads the cache again (another
+        job may have stored the result meanwhile) and counts that.
         """
         options = dict(options or {})
         key = cache_key(matrix, method, options)
         if timeout is None:
             timeout = self.default_timeout
+        if self._closed:  # a hit needs no worker, but draining admits nothing
+            raise SchedulerClosed()
+        rec = self.recorder
+        with trace_context(trace_id), rec.detached():
+            cached, _ = cached_solve(
+                self.cache, key, None, recorder=rec, metrics=self.metrics
+            )
         with self._lock:
-            if self._closed:
-                raise SchedulerClosed()
-            existing = self._inflight.get((key, verify))
-            if existing is not None and not existing.done:
-                self._stats["deduped"] += 1
-                self.recorder.counter("queue.deduped", key=key[:12])
-                self._m_deduped.inc()
-                return existing
+            if cached is None:
+                if self._closed:
+                    raise SchedulerClosed()
+                existing = self._inflight.get((key, verify))
+                if existing is not None and not existing.done:
+                    self._stats["deduped"] += 1
+                    rec.counter("queue.deduped", key=key[:12])
+                    self._m_deduped.inc()
+                    return existing
             job = Job(
                 f"job-{self._next_job}", key, matrix, method, options,
                 timeout, trace_id, verify,
             )
             self._next_job += 1
-            try:
-                self._queue.put_nowait(job)
-            except _queue.Full:
-                self._stats["rejected"] += 1
-                self.recorder.counter("queue.rejected", key=key[:12])
-                self._m_rejected.inc()
-                raise QueueFull(self.queue_size) from None
+            if cached is None:
+                try:
+                    self._queue.put_nowait(job)
+                except _queue.Full:
+                    self._stats["rejected"] += 1
+                    rec.counter("queue.rejected", key=key[:12])
+                    self._m_rejected.inc()
+                    raise QueueFull(self.queue_size) from None
+                self._inflight[(key, verify)] = job
             self._stats["submitted"] += 1
             self._jobs[job.id] = job
-            self._inflight[(key, verify)] = job
+        if cached is not None:
+            with rec.detached():
+                self._execute_isolated(job, cached=cached)
         return job
 
     def solve(
@@ -481,20 +510,31 @@ class Scheduler:
                 self._queue.task_done()
                 return
             try:
-                self._execute(item, slot)
-            except Exception as exc:  # noqa: BLE001 - last-resort isolation
-                # Nothing may escape past this point: an exception that
-                # killed the thread here would silently shrink the pool
-                # (and with it the service's capacity) forever.  Settle
-                # the job as FAILED and keep serving.
-                self._settle_crashed(item, exc)
+                self._execute_isolated(item, slot)
             finally:
                 self._queue.task_done()
 
+    def _execute_isolated(
+        self,
+        job: Job,
+        slot: Optional[WorkerSlot] = None,
+        cached: Optional[dict] = None,
+    ) -> None:
+        """:meth:`_execute`, then last-resort isolation: nothing may
+        escape past this point.  On a worker, an exception that killed
+        the thread would silently shrink the pool (and with it the
+        service's capacity) forever; on an admitting thread, it would
+        leave a job that never settles.  Settle the job as FAILED and
+        keep serving."""
+        try:
+            self._execute(job, slot, cached)
+        except Exception as exc:  # noqa: BLE001 - last-resort isolation
+            self._settle_crashed(job, exc)
+
     def _settle_crashed(self, job: Job, exc: BaseException) -> None:
-        """Settle a job whose execution path itself blew up (satellite
-        of the crash sweep: e.g. a recorder raising inside span exit,
-        *after* ``_execute``'s own error handling already passed)."""
+        """Settle a job whose execution path itself blew up (e.g. a
+        recorder raising inside span exit, *after* ``_execute``'s own
+        error handling already passed)."""
         self._m_worker_errors.inc()
         try:
             job._finish(
@@ -508,7 +548,20 @@ class Scheduler:
         except Exception:  # noqa: BLE001 - never kill the worker thread
             pass
 
-    def _execute(self, job: Job, slot: Optional[WorkerSlot] = None) -> None:
+    def _execute(
+        self,
+        job: Job,
+        slot: Optional[WorkerSlot] = None,
+        cached: Optional[dict] = None,
+    ) -> None:
+        """Run ``job`` to a terminal state and settle it.
+
+        ``cached`` is the payload :meth:`submit` already read (and
+        counted) for a hit; the job then settles on it without a second
+        read and without running an engine.  Otherwise the cache is read
+        here and a miss solves -- in ``slot``'s worker process when
+        there is one.
+        """
         rec = self.recorder
         if self._abandon:
             job._finish(
@@ -560,10 +613,13 @@ class Scheduler:
                             job.matrix, job.method, job.options, rec
                         )
 
-                payload, hit = cached_solve(
-                    self.cache, job.key, solve,
-                    recorder=rec, metrics=self.metrics,
-                )
+                if cached is not None:
+                    payload, hit = cached, True
+                else:
+                    payload, hit = cached_solve(
+                        self.cache, job.key, solve,
+                        recorder=rec, metrics=self.metrics,
+                    )
                 cache_status = "hit" if hit else "miss"
                 if job.verify:
                     job.verification = self._verify_payload(

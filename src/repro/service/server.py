@@ -191,13 +191,24 @@ class _Handler(BaseHTTPRequestHandler):
     """One HTTP exchange; the server instance hangs off ``self.server``."""
 
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: else Nagle holds each body behind its headers until
-    # a keep-alive client's ~40 ms delayed ACK arrives.
+    # A buffered wfile: status line, headers and a body that fit its
+    # 8 KiB go out in one write when ``handle_one_request`` flushes after
+    # the request.  TCP_NODELAY: a response split over writes (a larger
+    # body) must not wait behind Nagle for a keep-alive client's ~40 ms
+    # delayed ACK.
+    wbufsize = -1
     disable_nagle_algorithm = True
     _body_unread = False  # set by do_POST until _read_body consumes it
     server: "_HTTPServer"
 
     # ------------------------------------------------------------------
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now, not with the final response: the
+        client holds the body back until it arrives."""
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.service.verbose:
             sys.stderr.write(

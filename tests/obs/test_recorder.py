@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import pickle
+import threading
 import time
 
 import pytest
@@ -90,6 +91,42 @@ class TestSpanNesting:
         assert event.parent == rec.spans("outer")[0].id
         assert event.start == 10.0 and event.end == 12.5
         assert event.attrs == {"worker": 3}
+
+    def test_detached_block_records_roots_then_restores_the_stack(self):
+        rec = Recorder(clock=ticking_clock())
+        with rec.span("outer"):
+            with rec.detached():
+                with rec.span("job"):
+                    rec.counter("hits")
+                rec.counter("loose")
+            with rec.span("after"):
+                pass
+        outer = rec.spans("outer")[0]
+        job = rec.spans("job")[0]
+        assert job.parent is None
+        assert rec.counters("hits")[0].span == job.id
+        assert rec.counters("loose")[0].span is None
+        assert rec.spans("after")[0].parent == outer.id
+
+    def test_detached_is_per_thread(self):
+        rec = Recorder(clock=ticking_clock())
+        inside = threading.Event()
+        release = threading.Event()
+
+        def other():
+            with rec.detached():
+                inside.set()
+                release.wait(10.0)
+
+        with rec.span("outer"):
+            thread = threading.Thread(target=other)
+            thread.start()
+            assert inside.wait(10.0)
+            with rec.span("mine"):
+                pass
+            release.set()
+            thread.join(10.0)
+        assert rec.spans("mine")[0].parent == rec.spans("outer")[0].id
 
 
 class TestCounters:
@@ -182,7 +219,7 @@ class TestJsonl:
 class TestNullRecorder:
     def test_records_nothing(self):
         rec = NullRecorder()
-        with rec.span("work") as handle:
+        with rec.span("work") as handle, rec.detached():
             rec.counter("nodes", 5)
             rec.add_span("worker", 0.0, 1.0)
         assert handle.start is None and handle.end is None

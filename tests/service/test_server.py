@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -268,9 +269,10 @@ class TestKeepAliveLatency:
     def test_persistent_connection_answers_without_delayed_ack_stall(
         self, conn, matrix
     ):
-        # Headers and body leave as two writes; with Nagle on, each
-        # reply after the first waited ~40 ms for the client's delayed
-        # ACK, so every median below sat at 40+ ms.
+        # A reply that leaves as two writes (headers, then a body too
+        # large for the write buffer) with Nagle on waits ~40 ms for the
+        # client's delayed ACK; when every reply was split that way,
+        # every median below sat at 40+ ms.
         body = _solve_body(matrix)
         response, _, _ = _exchange(conn, "POST", "/solve", body)
         assert response.status == 200
@@ -353,3 +355,135 @@ class TestKeepAliveFraming:
         assert "Content-Length" in json.loads(data)["detail"]
         assert response.getheader("Connection") == "close"
         _assert_next_request_answered(conn)
+
+
+class _RecordingSocket(socket.socket):
+    """The server end of a loopback TCP connection; every ``send``/``sendall`` call
+    (one system-call-level write each) is recorded."""
+
+    def __init__(self, peer_of: socket.socket):
+        super().__init__(
+            peer_of.family, peer_of.type, peer_of.proto,
+            fileno=peer_of.detach(),
+        )
+        self.writes = []
+
+    def send(self, data, *args):
+        sent = super().send(data, *args)
+        self.writes.append(bytes(data[:sent]))
+        return sent
+
+    def sendall(self, data, *args):
+        super().sendall(data, *args)
+        self.writes.append(bytes(data))
+
+
+def _handle_on_pair(server, request: bytes, *, client_steps=None):
+    """Run one ``_Handler`` on a recording loopback socket; returns
+    ``(writes, status, headers, body)`` as the client saw them."""
+    import http.client
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        theirs = socket.create_connection(listener.getsockname())
+        ours, _ = listener.accept()
+    recording = _RecordingSocket(ours)
+    handler = threading.Thread(
+        target=server_mod._Handler,
+        args=(recording, ("127.0.0.1", 0), server._httpd),
+        daemon=True,
+    )
+    handler.start()
+    theirs.settimeout(10.0)
+    try:
+        if client_steps is None:
+            theirs.sendall(request)
+        else:
+            client_steps(theirs)
+        response = http.client.HTTPResponse(theirs)
+        response.begin()
+        body = response.read()
+        handler.join(10.0)
+        assert not handler.is_alive()
+        return recording.writes, response.status, response, body
+    finally:
+        theirs.close()
+        recording.close()
+
+
+def _post(path: str, body: bytes, **headers) -> bytes:
+    lines = [
+        f"POST {path} HTTP/1.1",
+        "Host: test",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+    ] + [f"{name.replace('_', '-')}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
+
+class TestOneWriteResponses:
+    """Status line, headers and a small body leave in one write; larger
+    bodies still arrive whole."""
+
+    def test_solve_sized_response_is_one_sendall(self, server):
+        matrix = clustered_matrix([13] * 4, seed=7)
+        body = _solve_body(matrix).encode()
+        _handle_on_pair(server, _post("/solve", body))  # warm the cache
+        writes, status, response, data = _handle_on_pair(
+            server, _post("/solve", body)
+        )
+        assert status == 200
+        record = json.loads(data)
+        assert record["cache"] == "hit"
+        assert 2000 < len(data) < 8000
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 200 ")
+        assert writes[0].endswith(data)
+
+    def test_ingest_sized_response_arrives_intact(self, server):
+        import io
+
+        import numpy as np
+
+        from repro.sequences.fasta import write_fasta
+        from repro.sequences.hmdna import generate_hmdna_dataset
+
+        rng = np.random.default_rng(5)
+        while True:
+            dataset = generate_hmdna_dataset(24, rng, sequence_length=600)
+            if len(set(dataset.sequences.values())) == 24:
+                break
+        text = io.StringIO()
+        write_fasta(dataset.sequences, text)
+        body = json.dumps({"fasta": text.getvalue(), "verify": True}).encode()
+        writes, status, response, data = _handle_on_pair(
+            server, _post("/ingest", body)
+        )
+        assert status == 200
+        assert len(data) > 40_000
+        assert int(response.getheader("Content-Length")) == len(data)
+        record = json.loads(data)
+        assert record["state"] == "done"
+        assert record["manifest"]["status"] != "failed"
+        assert b"".join(writes).endswith(data)
+
+    def test_100_continue_is_sent_before_the_body_is(self, server, matrix):
+        body = _solve_body(matrix).encode()
+        request = _post("/solve", body, Expect="100-continue")
+        head, payload = request.split(b"\r\n\r\n", 1)
+
+        def client_steps(sock):
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)  # times out if the 100 never comes
+                assert chunk, "connection closed before 100 Continue"
+                interim += chunk
+            assert interim.startswith(b"HTTP/1.1 100 ")
+            sock.sendall(payload)
+
+        _, status, _, data = _handle_on_pair(
+            server, request, client_steps=client_steps
+        )
+        assert status == 200
+        assert json.loads(data)["state"] == "done"
