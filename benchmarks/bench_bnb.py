@@ -55,6 +55,18 @@ enabled/disabled runs and comparing minima.  The budget is < 3% on
 kernel solves (``docs/observability.md``); the measured percentage is
 recorded, not gated, because sub-second smoke solves are noise-bound.
 
+The ``compact`` section times the compact engine as the service runs
+it: untraced in-process ``solve_payload`` on ``COMPACT_BODIES``
+matrices of perfbench's ``cold-compact`` shape (60 species in nested
+clusters), ``COMPACT_REPEATS`` rounds, median and quartiles per
+request.  Its ``phases`` come from one traced pass over the same
+bodies, read from the production spans with
+:func:`repro.obs.profile.aggregate_spans`: discover, reduce, solve and
+merge per request, ``other`` the rest of ``pipeline.build`` (tracing
+inflates every span, so the shares are what to compare).  Every run,
+``--smoke`` included, first checks a few of the inputs pinned by
+``tests/compact_pin.py`` bit for bit.
+
 ``--db`` additionally upserts the per-workload numbers into a campaign
 run database (stable workload-name case ids, engine fingerprint
 stamped), so ``repro-mut campaign trend`` charts bench history across
@@ -74,15 +86,22 @@ import sys
 import time
 from pathlib import Path
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # tests.compact_pin
+
 from repro.bnb import search
 from repro.bnb.kernel import MAX_BATCH_SPECIES
 from repro.bnb.search import SearchStats
 from repro.bnb.sequential import exact_mut
 from repro.matrix.generators import hierarchical_matrix, random_metric_matrix
+from repro.obs.profile import aggregate_spans
+from repro.obs.recorder import Recorder
+from repro.service.scheduler import solve_payload
 from repro.tree.newick import to_newick
 from repro.version import engine_fingerprint
+from tests.compact_pin import cold_compact, mismatches
 
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_bnb.json"
+DEFAULT_OUT = REPO_ROOT / "BENCH_bnb.json"
 
 #: (name, generator groups, seed, node_limit) -- node_limit None means
 #: solve to proven optimality.
@@ -109,6 +128,15 @@ SWEEP_REPEATS = 20
 SWEEP_CAPPED_REPEATS = 6
 SMOKE_SWEEP_SEEDS = tuple(range(2))
 SMOKE_SWEEP_REPEATS = 1
+
+#: Compact section: cold-compact matrices (seeds 0..n-1), timed rounds,
+#: and the pinned inputs checked before timing.
+COMPACT_BODIES = 200
+COMPACT_REPEATS = 10
+SMOKE_COMPACT_BODIES = 20
+COMPACT_PIN_CHECK = ("cold0", "cold1", "cold2", "hmdna0")
+#: The compact-set phases, as ``pipeline.*`` span names.
+COMPACT_PHASES = ("discover", "reduce", "solve", "merge")
 
 #: The branching paths the sweep times: name -> (``use_kernel``, the
 #: ``_KERNEL_MIN_SPECIES`` in force).  ``scalar`` is the clone-every-
@@ -275,6 +303,49 @@ def run_crossover(sizes, capped_sizes, seeds, capped_seeds, repeats,
     }
 
 
+def run_compact(n_bodies, repeats) -> dict:
+    """In-process ``solve_payload`` timing and the traced phase split."""
+    wrong = mismatches(COMPACT_PIN_CHECK)
+    if wrong:
+        raise AssertionError(f"compact output differs from its pin on {wrong}")
+    matrices = [cold_compact(seed) for seed in range(n_bodies)]
+    per_request = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for matrix in matrices:
+            solve_payload(matrix, "compact")
+        per_request.append((time.perf_counter() - t0) / n_bodies * 1e3)
+    recorder = Recorder()
+    for matrix in matrices:
+        solve_payload(matrix, "compact", recorder=recorder)
+    spans = aggregate_spans(recorder.events)
+    build_ms = spans["pipeline.build"][1] / n_bodies * 1e3
+    phases = {
+        name: spans.get(f"pipeline.{name}", (0, 0.0))[1] / n_bodies * 1e3
+        for name in COMPACT_PHASES
+    }
+    phases["other"] = build_ms - sum(phases.values())
+    section = {
+        "shape": "hierarchical_matrix([[6, 6]] * 5, jitter=0.3), 60 species",
+        "bodies": n_bodies,
+        "repeats": repeats,
+        "pin_checked": list(COMPACT_PIN_CHECK),
+        "solve_payload_ms": summary(per_request),
+        "traced_build_ms": build_ms,
+        "phases_ms": phases,
+        "phase_shares": {
+            name: ms / build_ms for name, ms in phases.items()
+        },
+    }
+    print(
+        f"compact solve_payload={section['solve_payload_ms']['median']:.3f} ms "
+        f"(IQR {section['solve_payload_ms']['iqr']:.3f}); traced "
+        + "  ".join(f"{name}={ms:.3f}" for name, ms in phases.items())
+        + f" of {build_ms:.3f} ms"
+    )
+    return section
+
+
 def _timed_solve(matrix, *, use_kernel, node_limit):
     t0 = time.perf_counter()
     result = exact_mut(matrix, use_kernel=use_kernel, node_limit=node_limit)
@@ -320,7 +391,7 @@ def measure_progress_overhead(matrix, *, node_limit, repeats=3):
     }
 
 
-def run(workloads, repeats, sweep) -> dict:
+def run(workloads, repeats, sweep, compact) -> dict:
     results = []
     for name, groups, seed, node_limit in workloads:
         matrix = hierarchical_matrix(groups, seed=seed, jitter=0.3)
@@ -389,6 +460,7 @@ def run(workloads, repeats, sweep) -> dict:
         "results": results,
         "progress_overhead": overhead,
         "crossover": run_crossover(*sweep),
+        "compact": run_compact(*compact),
     }
     by_name = {r["workload"]: r for r in results}
     if "hmdna26-full" in by_name:
@@ -432,6 +504,7 @@ def main(argv=None) -> int:
             1,
             (SWEEP_SIZES, SWEEP_CAPPED_SIZES, SMOKE_SWEEP_SEEDS,
              SMOKE_SWEEP_SEEDS, SMOKE_SWEEP_REPEATS, SMOKE_SWEEP_REPEATS),
+            (SMOKE_COMPACT_BODIES, 1),
         )
     else:
         report = run(
@@ -439,6 +512,7 @@ def main(argv=None) -> int:
             WORKLOAD_REPEATS,
             (SWEEP_SIZES, SWEEP_CAPPED_SIZES, SWEEP_SEEDS,
              SWEEP_CAPPED_SEEDS, SWEEP_REPEATS, SWEEP_CAPPED_REPEATS),
+            (COMPACT_BODIES, COMPACT_REPEATS),
         )
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -331,9 +331,8 @@ def solve_cherry(
     height = float(distance) / 2.0
     if height < 0.0:
         raise ValueError(f"join height {height} is below a leaf")
-    tree = UltrametricTree(TreeNode(
-        height, [TreeNode(label=labels[0]), TreeNode(label=labels[1])]
-    ))
+    leaves = [TreeNode(label=labels[0]), TreeNode(label=labels[1])]
+    tree = UltrametricTree.over_leaves(TreeNode(height, leaves), leaves)
     # The two leaf edges, summed as ``tree.cost()`` would.
     return tree, SearchStats(best_cost=height + height)
 

@@ -32,10 +32,12 @@ _NO_NODE = -1
 class PartialTopology:
     """A minimal-cost ultrametric realization of a partial leaf topology.
 
-    Instances are created by :meth:`initial` (the two-leaf BBT root) and
-    :meth:`child` (graft the next species); they should be treated as
-    immutable once created.  ``half`` is the shared ``M / 2`` matrix as a
-    list of row lists, indexed by species id after max-min relabeling.
+    Instances are created by :meth:`initial` (the two-leaf BBT root),
+    :meth:`child` or :meth:`child_via_tables` (graft the next species)
+    and :meth:`from_payload`; each sets every slot itself, with no
+    constructor call.  They should be treated as immutable once created.
+    ``half`` is the shared ``M / 2`` matrix as a list of row lists,
+    indexed by species id after max-min relabeling.
     """
 
     __slots__ = (
@@ -54,22 +56,6 @@ class PartialTopology:
         "lower_bound",
     )
 
-    def __init__(self) -> None:
-        # Populated by the factory methods; never built directly.
-        self.half: List[List[float]] = []
-        self.n = 0
-        self.num_leaves = 0
-        self.parent: List[int] = []
-        self.child_a: List[int] = []
-        self.child_b: List[int] = []
-        self.height: List[float] = []
-        self.leafset: List[int] = []
-        self.species: List[int] = []
-        self.leaf_of: List[int] = []
-        self.root = _NO_NODE
-        self.internal_sum = 0.0
-        self.lower_bound = 0.0
-
     # ------------------------------------------------------------------
     @classmethod
     def initial(cls, half: Sequence[Sequence[float]]) -> "PartialTopology":
@@ -77,7 +63,7 @@ class PartialTopology:
         n = len(half)
         if n < 2:
             raise ValueError("a partial topology needs at least two species")
-        topo = cls()
+        topo = cls.__new__(cls)
         # Shared by reference: ``half`` is read-only search-context state
         # (see :func:`repro.bnb.bounds.search_context`); copying it here
         # was O(n^2) waste per solve.
@@ -149,7 +135,7 @@ class PartialTopology:
         if not 0 <= c < len(self.parent):
             raise ValueError(f"position {position} out of range")
 
-        clone = PartialTopology()
+        clone = PartialTopology.__new__(PartialTopology)
         clone.half = self.half
         clone.n = self.n
         clone.num_leaves = self.num_leaves + 1
@@ -240,7 +226,7 @@ class PartialTopology:
         if not 0 <= c < len(self.parent):
             raise ValueError(f"position {position} out of range")
 
-        clone = PartialTopology()
+        clone = PartialTopology.__new__(PartialTopology)
         clone.half = self.half
         clone.n = self.n
         clone.num_leaves = self.num_leaves + 1
@@ -334,7 +320,7 @@ class PartialTopology:
     ) -> "PartialTopology":
         """Rebuild a topology from :meth:`to_payload` plus the shared
         ``M / 2`` matrix (inverse of :meth:`to_payload`, bit-exact)."""
-        topo = cls()
+        topo = cls.__new__(cls)
         (
             topo.n,
             topo.num_leaves,
@@ -378,15 +364,19 @@ class PartialTopology:
     def to_tree(self, labels: Sequence[str]) -> UltrametricTree:
         """Materialise as an :class:`UltrametricTree` with species names."""
 
+        leaves: List[TreeNode] = []
+
         def build(index: int) -> TreeNode:
             if self.species[index] != _NO_NODE:
-                return TreeNode(0.0, label=labels[self.species[index]])
+                leaf = TreeNode(0.0, label=labels[self.species[index]])
+                leaves.append(leaf)
+                return leaf
             return TreeNode(
                 self.height[index],
                 [build(self.child_a[index]), build(self.child_b[index])],
             )
 
-        return UltrametricTree(build(self.root))
+        return UltrametricTree.over_leaves(build(self.root), leaves)
 
     def signature(self) -> tuple:
         """A hashable canonical form of the topology (tests/dedup).

@@ -74,10 +74,10 @@ def merge_group_tree(
     parts.sort(key=len)
     index: Dict[str, TreeNode] = parts.pop()
     for part in parts:
-        for label, leaf in part.items():
-            if label in index:
-                raise ValueError(f"duplicate leaf label {label!r}")
-            index[label] = leaf
+        if not index.keys().isdisjoint(part):
+            label = min(index.keys() & part.keys())
+            raise ValueError(f"duplicate leaf label {label!r}")
+        index.update(part)
 
     root = group_tree.root
     for placeholder, parent, sub_root in slots:

@@ -222,23 +222,26 @@ class CompactSetTreeBuilder:
         ``pipeline.node`` span; its children's spans open and close
         inside it, in the order a recursive descent would give.
         """
+        names = matrix.labels  # one copy for the whole descent
         stack: List[_OpenNode] = []
         try:
-            stack.append(self._open_node(matrix, node))
+            stack.append(self._open_node(matrix, names, node, None))
             while stack:
                 top = stack[-1]
-                child = top.next_child()
-                if child is None:
-                    # Every tree merged here was solved for this build
-                    # alone, so the merge may move its nodes.
-                    with self.recorder.span("pipeline.merge", size=top.node.size):
-                        tree = merge_group_tree(top.group_tree, top.subtrees)
-                    stack.pop()
-                    top.span.__exit__(None, None, None)
-                    if stack:
-                        stack[-1].absorb(tree, top.reports)
-                else:
-                    stack.append(self._open_node(matrix, child))
+                if top.pending:
+                    name, child = top.pending.pop()
+                    stack.append(self._open_node(matrix, names, child, name))
+                    continue
+                # Every tree merged here was solved for this build alone,
+                # so the merge may move its nodes.
+                with self.recorder.span("pipeline.merge", size=top.size):
+                    tree = merge_group_tree(top.group_tree, top.subtrees)
+                stack.pop()
+                top.span.__exit__(None, None, None)
+                if stack:
+                    parent = stack[-1]
+                    parent.subtrees[top.name] = tree
+                    parent.reports += top.reports
         except BaseException:
             error = sys.exc_info()
             while stack:
@@ -247,27 +250,35 @@ class CompactSetTreeBuilder:
         return tree, top.reports
 
     def _open_node(
-        self, matrix: DistanceMatrix, node: HierarchyNode
+        self,
+        matrix: DistanceMatrix,
+        names: List[str],
+        node: HierarchyNode,
+        name: Optional[str],
     ) -> "_OpenNode":
         """Open ``node``'s span, then reduce and solve its own matrix.
 
-        Placeholder names for the compound children are minted here, so
-        a sequential descent numbers them in pre-order.
+        ``name`` is the node's placeholder label in its parent's matrix.
+        A singleton child is named by its species (``names`` holds the
+        matrix's labels).  Placeholder names for the compound children
+        are minted here, so a sequential descent numbers them in
+        pre-order.
         """
         rec = self.recorder
-        span = rec.span("pipeline.node", size=node.size, arity=node.arity)
+        size = len(node.members)
+        span = rec.span("pipeline.node", size=size, arity=node.arity)
         span.__enter__()
         try:
             labels: List[str] = []
             compound: List[Tuple[str, HierarchyNode]] = []
             for child in node.children:
-                if child.size == 1:
-                    (member,) = child.members
-                    labels.append(matrix.labels[member])
+                if child.children:
+                    label = f"__cs{next(self._placeholder_ids)}__"
+                    compound.append((label, child))
                 else:
-                    name = f"__cs{next(self._placeholder_ids)}__"
-                    labels.append(name)
-                    compound.append((name, child))
+                    (member,) = child.members
+                    label = names[member]
+                labels.append(label)
             with rec.span("pipeline.reduce", size=node.arity):
                 rows = node.reduced  # built for "maximum" only
                 if rows is None:
@@ -281,7 +292,8 @@ class CompactSetTreeBuilder:
         except BaseException:
             span.__exit__(*sys.exc_info())
             raise
-        return _OpenNode(node, span, group_tree, [report], compound)
+        compound.reverse()  # popped from the end, in label order
+        return _OpenNode(name, size, span, group_tree, [report], compound)
 
     def _solve_matrix(
         self, rows: List[List[float]], labels: List[str], members: Tuple[int, ...]
@@ -339,23 +351,13 @@ class _OpenNode:
     """A hierarchy node whose own matrix is solved and whose span is open,
     waiting for its placeholder children before the merge."""
 
-    node: HierarchyNode
+    #: The node's placeholder label in its parent's matrix.
+    name: Optional[str]
+    size: int
     span: ContextManager
     group_tree: UltrametricTree
     reports: List[SubproblemReport]
-    #: ``(placeholder name, compound child)``, in label order.
-    children: List[Tuple[str, HierarchyNode]]
+    #: ``(placeholder name, compound child)`` not yet solved, next last.
+    pending: List[Tuple[str, HierarchyNode]]
+    #: Solved children by placeholder name.
     subtrees: Dict[str, UltrametricTree] = field(default_factory=dict)
-
-    def next_child(self) -> Optional[HierarchyNode]:
-        """The first placeholder child not yet solved, if any."""
-        if len(self.subtrees) < len(self.children):
-            return self.children[len(self.subtrees)][1]
-        return None
-
-    def absorb(
-        self, subtree: UltrametricTree, reports: List[SubproblemReport]
-    ) -> None:
-        """Take the next placeholder child's solved subtree."""
-        self.subtrees[self.children[len(self.subtrees)][0]] = subtree
-        self.reports.extend(reports)

@@ -16,10 +16,9 @@ contracted.  One pass over the sorted edges builds it:
   settled when ``A`` is absorbed: ``A`` is compact iff ``Max(A) < w``.
 * **Max side.** ``Max(A u B) = max(Max(A), Max(B), max cross(A, B))``.
   Each group keeps a row-max vector (the largest distance from any
-  member to every vertex), so the cross maximum is one NumPy reduction
-  of ``A``'s vector over ``B``'s members, and the merged group's vector
-  one elementwise maximum: ``O(n)`` per merge, ``O(n^2)`` over the
-  ``n - 1`` merges, with no Python loop over vertex pairs.
+  member to every vertex), so the cross maximum is ``A``'s vector read
+  over ``B``'s members, and the merged group's vector one elementwise
+  maximum: ``O(n)`` per merge, ``O(n^2)`` over the ``n - 1`` merges.
 
 A compact group closes into a :class:`HierarchyNode` whose children are
 its live *parts* -- the singletons and compact groups it absorbed, in
@@ -47,16 +46,23 @@ __all__ = ["find_compact_sets_fast", "kruskal_hierarchy"]
 _Part = Tuple[int, HierarchyNode, np.ndarray, List[int]]
 
 
+#: Longest column list :func:`_cross_max` reads entry by entry; a longer
+#: one pays for NumPy's fancy index and reduction (about 3 us), which
+#: wins from about 32 entries on.
+_ENTRYWISE_MAX_COLUMNS = 32
+
+
 def _cross_max(row: np.ndarray, columns: List[int]) -> float:
-    """``max(row[columns])``; a single column skips the fancy index."""
-    if len(columns) == 1:
-        return float(row[columns[0]])
+    """``max(row[columns])``, exactly: a maximum does not round."""
+    if len(columns) <= _ENTRYWISE_MAX_COLUMNS:
+        return max(map(row.item, columns))
     return float(row[columns].max())
 
 
 def _close(parts: List[_Part], members: List[int], reduce: bool) -> HierarchyNode:
-    """The hierarchy node of a compact group made of ``parts``."""
-    parts.sort(key=lambda part: part[0])
+    """The hierarchy node of a compact group made of ``parts``, which it
+    sorts by smallest member."""
+    parts.sort()  # parts are disjoint, so the smallest members never tie
     node = HierarchyNode(frozenset(members), [part[1] for part in parts])
     if reduce:
         # Entry (a, b) with a < b reads a's rows, as reduce_matrix does.
@@ -85,14 +91,13 @@ def kruskal_hierarchy(
     n = matrix.n
     if n < 2:
         return HierarchyNode(frozenset(range(n))), []
-    values = matrix.values
     # Group state, indexed by group id (a vertex of the group).
     group_of = list(range(n))
     members: List[List[int]] = [[v] for v in range(n)]
-    row_max: List[np.ndarray] = [values[v] for v in range(n)]
+    row_max: List[np.ndarray] = list(matrix.values)
     max_internal = [0.0] * n
     parts: List[List[_Part]] = [
-        [(v, HierarchyNode(frozenset((v,))), values[v], [v])] for v in range(n)
+        [(v, HierarchyNode(frozenset((v,))), row_max[v], [v])] for v in range(n)
     ]
     formed_at = [-1] * n
     formed: List[Optional[FrozenSet[int]]] = [None] * (n - 1)
@@ -103,20 +108,23 @@ def kruskal_hierarchy(
             group = list(members[g])
             node = _close(parts[g], group, reduce)
             formed[formed_at[g]] = node.members
-            return [(min(group), node, row_max[g], group)]
+            return [(parts[g][0][0], node, row_max[g], group)]
         return parts[g]
 
-    rows, cols, weights = _sorted_edges(matrix)
     merges = 0
-    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+    for i, j, w in _sorted_edges(matrix):
         a, b = group_of[i], group_of[j]
         if a == b:
             continue
-        # Cross maximum in one reduction: i's group's row-max over j's
-        # group's members (i < j, the same rows the scan reads).
+        merged_parts = absorbed(a, w) + absorbed(b, w)
+        merges += 1
+        if merges == n - 1:
+            root = _close(merged_parts, list(range(n)), reduce)
+            return root, [s for s in formed if s is not None]
+        # Cross maximum: i's group's row-max over j's group's members
+        # (i < j, the same rows the scan reads).
         cross = _cross_max(row_max[a], members[b])
         merged_max = max(max_internal[a], max_internal[b], cross)
-        merged_parts = absorbed(a, w) + absorbed(b, w)
         merged_row = np.maximum(row_max[a], row_max[b])
         keep, other = (a, b) if len(members[a]) >= len(members[b]) else (b, a)
         for v in members[other]:
@@ -125,11 +133,7 @@ def kruskal_hierarchy(
         row_max[keep] = merged_row
         max_internal[keep] = merged_max
         parts[keep] = merged_parts
-        formed_at[keep] = merges
-        merges += 1
-        if merges == n - 1:
-            root = _close(merged_parts, list(range(n)), reduce)
-            return root, [s for s in formed if s is not None]
+        formed_at[keep] = merges - 1
     raise AssertionError("a complete graph is connected")  # pragma: no cover
 
 

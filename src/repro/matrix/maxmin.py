@@ -58,14 +58,14 @@ def maxmin_order(rows: Sequence[Sequence[float]]) -> List[int]:
     # Minimum distance from every species to the chosen prefix.
     mins = [min(row[first], row[second]) for row in rows]
     rest = [k for k in range(n) if k != first and k != second]
-    while rest:
+    while len(rest) > 1:
         nxt = max(rest, key=mins.__getitem__)
         order.append(nxt)
         rest.remove(nxt)
         for k in rest:
             if rows[k][nxt] < mins[k]:
                 mins[k] = rows[k][nxt]
-    return order
+    return order + rest  # the last species needs no comparison
 
 
 def apply_maxmin(matrix: DistanceMatrix) -> Tuple[DistanceMatrix, List[int]]:

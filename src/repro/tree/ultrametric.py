@@ -15,7 +15,7 @@ which is the quantity the Minimum Ultrametric Tree problem minimises
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,14 +91,29 @@ class UltrametricTree:
     """
 
     def __init__(self, root: TreeNode) -> None:
+        self._index(root, root.leaves())
+
+    def _index(self, root: TreeNode, leaves: Iterable[TreeNode]) -> None:
+        """Set ``root`` and index ``leaves``, which must be its leaves."""
         self.root = root
         self._leaf_index: Dict[str, TreeNode] = {}
-        for leaf in root.leaves():
+        for leaf in leaves:
             if leaf.label is None:
                 raise ValueError("every leaf must carry a label")
             if leaf.label in self._leaf_index:
                 raise ValueError(f"duplicate leaf label {leaf.label!r}")
             self._leaf_index[leaf.label] = leaf
+
+    @classmethod
+    def over_leaves(
+        cls, root: TreeNode, leaves: Iterable[TreeNode]
+    ) -> "UltrametricTree":
+        """``UltrametricTree(root)`` for a builder that already holds the
+        root's leaves (in any order): the same checks, without the walk
+        that finds them."""
+        tree = cls.__new__(cls)
+        tree._index(root, leaves)
+        return tree
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -149,10 +164,18 @@ class UltrametricTree:
 
     def cost(self) -> float:
         """Total edge weight ``omega(T)`` (Definition 4)."""
+        # The pre-order of ``TreeNode.walk`` without its generator: the
+        # same additions in the same order, so the same float.
         total = 0.0
-        for node in self.root.walk():
-            for child in node.children:
-                total += node.height - child.height
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if children:
+                height = node.height
+                for child in children:
+                    total += height - child.height
+                stack += children[::-1]
         return total
 
     def lca(self, a: str, b: str) -> TreeNode:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.mst import kruskal_mst, mst_is_unique, mst_weight, prim_mst
+from repro.graph.mst import _sorted_edges, kruskal_mst, mst_is_unique, mst_weight, prim_mst
 from repro.graph.union_find import UnionFind
 from repro.matrix.distance_matrix import DistanceMatrix
 from repro.matrix.generators import random_metric_matrix
@@ -123,3 +123,15 @@ class TestKruskalTieOrder:
             type(i) is int and type(j) is int and type(w) is float
             for i, j, w in edges
         )
+
+    @pytest.mark.parametrize("n", [17, 18, 25, 40])
+    @pytest.mark.parametrize("top", [1, 3, 50])
+    def test_lazy_edge_runs_keep_the_tuple_sort_order(self, n, top):
+        """From 18 species the lightest ``8 n`` edges form one sorted run
+        and the rest another; ties at the cut keep the ``(w, i, j)``
+        order, read to the last edge."""
+        rng = np.random.default_rng(n * top)
+        upper = np.triu(rng.integers(1, top + 1, size=(n, n)), 1).astype(float)
+        matrix = DistanceMatrix(upper + upper.T)
+        expected = sorted((w, i, j) for i, j, w in matrix.pairs())
+        assert [(w, i, j) for i, j, w in _sorted_edges(matrix)] == expected

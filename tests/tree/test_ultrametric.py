@@ -60,6 +60,18 @@ class TestQueries:
         # edges: root->inner (3), root->c (4), inner->a (1), inner->b (1)
         assert t.cost() == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cost_sums_edges_in_pre_order(self, seed):
+        """Bit for bit the sum of the edges in ``walk()`` order: the
+        order of the additions decides the last bits of the float."""
+        rng = random.Random(seed)
+        t = random_tree(rng, rng.randint(1, 60), max_arity=4)
+        total = 0.0
+        for node in t.root.walk():
+            for child in node.children:
+                total += node.height - child.height
+        assert t.cost() == total
+
     def test_cost_equals_height_identity(self):
         """omega(T) = h(root) + sum of internal heights."""
         t = build_caterpillar()
