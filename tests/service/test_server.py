@@ -265,6 +265,47 @@ class TestNumericFields:
         assert json.loads(data)["state"] == "done"
 
 
+class TestDeeplyNestedBodies:
+    """JSON nested past the stdlib decoder's recursion limit is a typed
+    400; the ``RecursionError`` used to escape the handler and drop the
+    connection without a response."""
+
+    NESTED = "[" * 5000 + "]" * 5000
+
+    def _assert_recursion_400(self, conn, response, data):
+        assert response.status == 400
+        error = json.loads(data)
+        assert error["error"] == "bad_request"
+        assert "recursion depth" in error["detail"]
+        _assert_next_request_answered(conn)
+
+    @pytest.mark.parametrize("path", ["/solve", "/ingest"])
+    def test_nested_json_body(self, server, conn, decoder, path):
+        response, data, _ = _exchange(
+            conn, "POST", path, self.NESTED,
+            headers={"Content-Type": "application/json"},
+        )
+        self._assert_recursion_400(conn, response, data)
+        assert server.scheduler.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("field", ["options", "qc"])
+    def test_nested_multipart_field(self, server, conn, decoder, field):
+        parts = [("fasta", ">a\nACGT\n>b\nACGA\n>c\nAGGA\n"),
+                 (field, self.NESTED)]
+        body = "".join(
+            f"--cut\r\nContent-Disposition: form-data; name=\"{name}\""
+            f"\r\n\r\n{value}\r\n"
+            for name, value in parts
+        ) + "--cut--\r\n"
+        response, data, _ = _exchange(
+            conn, "POST", "/ingest", body,
+            headers={"Content-Type": "multipart/form-data; boundary=cut"},
+        )
+        self._assert_recursion_400(conn, response, data)
+        assert f"'{field}'" in json.loads(data)["detail"]
+        assert server.scheduler.stats()["submitted"] == 0
+
+
 class TestKeepAliveLatency:
     def test_persistent_connection_answers_without_delayed_ack_stall(
         self, conn, matrix
